@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .characters import DirichletCharacter
 from .dirichlet import l_function
-from .errors import HypothesisError
+from .errors import HypothesisError, RangeError
 from .graph import GraphLParams, graph_l_n
 from .special import Evaluation
 
@@ -93,21 +93,26 @@ def faulhaber_rhs(m: int, chi: DirichletCharacter, n: int) -> Evaluation:
     k = chi.modulus
     total = 0.0
     err = 0.0
-    falling = 1.0  # m (m-1) ... (m - 2j + 2), built incrementally
+    size = 0.0  # sum of |term|, for the rounding allowance
+    ratio = 1.0  # m (m-1) ... (m - 2j + 2) / (4 pi^2 n^2)^j as one running product
     denom = 4.0 * math.pi ** 2 * n * n
-    denom_pow = 1.0
     for j in range(1, m // 2 + 1):
         if j == 1:
-            falling = float(m)
+            ratio = m / denom
         else:
-            falling *= (m - 2 * j + 3) * (m - 2 * j + 2)
-        denom_pow *= denom
+            ratio *= (m - 2 * j + 3) * (m - 2 * j + 2) / denom
         lv = l_function(complex(2 * j, 0.0), chi)
-        coeff = (-1.0) ** (j + 1) * falling / denom_pow
+        coeff = ratio if j % 2 else -ratio
         total += coeff * lv.value.real
-        err += abs(coeff) * lv.abs_error_estimate
+        err += ratio * lv.abs_error_estimate
+        size += ratio * abs(lv.value.real)
     scale = 2.0 * n * math.sqrt(k)
-    return Evaluation(scale * total, scale * err + 1e-15 * abs(scale * total))
+    value = scale * total
+    err = scale * err + 1e-15 * abs(value) + 4e-16 * scale * size
+    if not err < abs(value):  # also catches an overflowed, non-finite sum
+        raise RangeError(f"Faulhaber right-hand side for m = {m}, n = {n} is lost to "
+                         f"rounding: error bound {err:.3g} >= |rhs| {abs(value):.3g}")
+    return Evaluation(value, err)
 
 
 def corollary6_check(chi: DirichletCharacter, large_m_samples=None):

@@ -14,9 +14,11 @@ import math
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from .characters import DirichletCharacter, gauss_sum
 from .errors import HypothesisError, NoZeroFoundError, PoleError
-from .special import complex_gamma, hurwitz_zeta_minus_pole
+from .special import complex_gamma, hurwitz_zeta_em, require_finite_result
 
 __all__ = [
     "LValue",
@@ -30,7 +32,8 @@ __all__ = [
 ]
 
 _ZERO_GRID_STEP = 0.05
-_ZERO_TOL = 1e-8
+_ZERO_BRACKET = 1e-13
+_ZERO_TOL = 1e-6  # relative to max |xi| at the grid bracket's ends
 _MIN_T_HYPOTHESIS = 8.0
 
 
@@ -62,22 +65,17 @@ def l_function(s: complex, chi: DirichletCharacter, *, n_terms=None, pairs=None)
     _require_nonprincipal(chi)
     s = complex(s)
     k = chi.modulus
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    err = 0.0
-    for m in range(1, k):
-        if gcd(m, k) != 1:
-            continue
-        h = hurwitz_zeta_minus_pole(s, m / k, n_terms=n_terms, pairs=pairs)
-        err += h.abs_error_estimate
-        term = chi(m) * h.value
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    scale = cmath.exp(-s * math.log(k))
-    value = scale * total
-    err = abs(scale) * err + 1e-16 * k * abs(value)
+    residues = [m for m in range(1, k) if gcd(m, k) == 1]
+    h, h_err = hurwitz_zeta_em(s, np.array(residues) / k, n_terms=n_terms, pairs=pairs,
+                               subtract_pole=True)
+    total = np.dot(np.array([chi.values[m] for m in residues]), h)
+    with np.errstate(all="ignore"):
+        scale = np.exp(-s * math.log(k))
+        value = complex(scale * total)
+        # k^{-s} carries the same |s| log k phase rounding as the Hurwitz terms
+        err = float(abs(scale) * h_err.sum()
+                    + (1e-16 * k + 4e-16 * abs(s) * math.log(k)) * abs(value))
+    require_finite_result(value, err, f"L({s!r}, chi)")
     return LValue(s=s, chi_id=(k, chi.index), value=value, abs_error_estimate=err)
 
 
@@ -98,6 +96,7 @@ def completed_xi(s: complex, chi: DirichletCharacter, *, n_terms=None, pairs=Non
     pref = cmath.exp(-(s / 2.0) * math.log(math.pi / k))
     value = pref * g.value * lv.value
     err = abs(pref) * (abs(g.value) * lv.abs_error_estimate + abs(lv.value) * g.abs_error_estimate)
+    require_finite_result(value, err, f"xi({s!r}, chi)")
     return LValue(s=s, chi_id=(k, chi.index), value=value, abs_error_estimate=err)
 
 
@@ -111,11 +110,45 @@ def _verify_positive_real_gauss(chi: DirichletCharacter):
         )
 
 
+def _illinois(f, a: float, fa: float, b: float, fb: float) -> float:
+    """Shrink a sign-change bracket of f below _ZERO_BRACKET; return its midpoint.
+
+    Illinois regula falsi (Dowell & Jarratt, BIT 1971): the secant point
+    of the bracket, with the function value kept at an end that survives
+    two steps running halved so that both ends converge.  Each probe stays
+    half a bracket tolerance inside the bracket, so once the secant point
+    is that close to the zero the next probe lands across it.
+    """
+    kept = 0  # +1: a survived the last step, -1: b did
+    for _ in range(100):
+        if b - a < _ZERO_BRACKET:
+            break
+        z = (a * fb - b * fa) / (fb - fa)
+        z = min(max(z, a + 0.5 * _ZERO_BRACKET), b - 0.5 * _ZERO_BRACKET)
+        fz = f(z)
+        if fz == 0.0:
+            return z
+        if (fz < 0.0) == (fa < 0.0):
+            a, fa = z, fz
+            if kept == -1:
+                fb *= 0.5
+            kept = -1
+        else:
+            b, fb = z, fz
+            if kept == 1:
+                fa *= 0.5
+            kept = 1
+    return 0.5 * (a + b)
+
+
 def find_critical_zero(chi: DirichletCharacter, t_lo: float, t_hi: float) -> float:
     """Locate a zero of xi(1/2 + it, chi) in (t_lo, t_hi) by sign change.
 
     Valid only for real, even, primitive chi with Gauss sum +sqrt(k), in
-    which case xi is real on the critical line.
+    which case xi is real on the critical line.  The first sign change on
+    a grid of step 0.05 is refined by Illinois regula falsi to a bracket
+    narrower than 1e-13; the refined point must bring |xi| below 1e-6 of
+    its size at the grid bracket's ends.
     """
     _require_even_primitive(chi)
     if not chi.is_real:
@@ -135,19 +168,12 @@ def find_critical_zero(chi: DirichletCharacter, t_lo: float, t_hi: float) -> flo
         if prev_f == 0.0:
             return prev_t
         if prev_f * ft < 0.0:
-            a, fa, b = prev_t, prev_f, t
-            for _ in range(100):
-                mid = 0.5 * (a + b)
-                fm = f(mid)
-                if fm == 0.0 or b - a < 1e-13:
-                    break
-                if fa * fm < 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            t_star = 0.5 * (a + b)
-            if abs(completed_xi(0.5 + 1j * t_star, chi).value) > _ZERO_TOL:
-                raise NoZeroFoundError("bisection bracket did not shrink below tolerance")
+            t_star = _illinois(f, prev_t, prev_f, t, ft)
+            xi_star = abs(completed_xi(0.5 + 1j * t_star, chi).value)
+            if xi_star > _ZERO_TOL * max(abs(prev_f), abs(ft)):
+                raise NoZeroFoundError(
+                    f"regula falsi stopped at t = {t_star!r} with |xi| = {xi_star:.3g}, "
+                    f"not below {_ZERO_TOL:g} of its size at the bracket ends")
             return t_star
         prev_t, prev_f = t, ft
     raise NoZeroFoundError(f"no sign change of xi on the critical line in ({t_lo:g}, {t_hi:g})")

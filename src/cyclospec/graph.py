@@ -15,8 +15,8 @@ import numpy as np
 
 from .characters import DirichletCharacter
 from .dirichlet import completed_xi, l_function
-from .errors import DisconnectedGraphError, HypothesisError, PoleError
-from .special import Evaluation, complex_gamma
+from .errors import DisconnectedGraphError, DomainError, HypothesisError, PoleError, RangeError
+from .special import Evaluation, complex_gamma, require_finite_result
 
 __all__ = [
     "GraphLParams",
@@ -60,7 +60,10 @@ class GraphLParams:
             raise HypothesisError(f"character ({chi.modulus},{chi.index}) is not primitive")
         if not chi.is_even and not self.allow_odd:
             raise HypothesisError(f"character ({chi.modulus},{chi.index}) is odd")
-        object.__setattr__(self, "s", complex(self.s))
+        s = complex(self.s)
+        if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+            raise DomainError(f"non-finite argument s = {s!r}")
+        object.__setattr__(self, "s", s)
 
 
 def graph_l_n(p: GraphLParams) -> Evaluation:
@@ -70,20 +73,25 @@ def graph_l_n(p: GraphLParams) -> Evaluation:
     total = 0.0 + 0.0j
     comp = 0.0 + 0.0j
     max_abs = 0.0
-    for j in range(1, m):
-        v = p.chi(j)
-        if v == 0.0:
-            continue
-        # sin argument in (0, 1): the real log gives the principal branch
-        term = v * cmath.exp(-s * math.log(math.sin(math.pi * j / m)))
-        a = abs(term)
-        if a > max_abs:
-            max_abs = a
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return Evaluation(total, 4e-16 * m * max_abs)
+    try:
+        for j in range(1, m):
+            v = p.chi(j)
+            if v == 0.0:
+                continue
+            # sin argument in (0, 1): the real log gives the principal branch
+            term = v * cmath.exp(-s * math.log(math.sin(math.pi * j / m)))
+            a = abs(term)
+            if a > max_abs:
+                max_abs = a
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+    except (OverflowError, ValueError):  # cmath.exp of an overflowed exponent
+        raise RangeError(f"L_n({s!r}, chi) overflows") from None
+    err = 4e-16 * m * max_abs
+    require_finite_result(total, err, f"L_n({s!r}, chi)")
+    return Evaluation(total, err)
 
 
 def graph_xi_n(p: GraphLParams, *, allow_outside_strip: bool = False) -> Evaluation:
@@ -99,6 +107,7 @@ def graph_xi_n(p: GraphLParams, *, allow_outside_strip: bool = False) -> Evaluat
     pref = cmath.exp(-s * math.log(p.n)) * cmath.exp((s / 2.0) * math.log(math.pi / k))
     value = pref * g.value * ln.value
     err = abs(pref) * (abs(g.value) * ln.abs_error_estimate + abs(ln.value) * g.abs_error_estimate)
+    require_finite_result(value, err, f"xi_n({s!r}, chi)")
     return Evaluation(value, err)
 
 

@@ -2,7 +2,8 @@
 
 Everything here is 64-bit floating point.  The Hurwitz zeta uses
 Euler-Maclaurin summation (partial sum + integral term + Bernoulli
-corrections) and reports a truncation-based error estimate; gamma is a
+corrections), evaluated for many parameters a at once in one numpy pass,
+and reports a truncation plus rounding error estimate; gamma is a
 Lanczos rational approximation with reflection for Re z < 1/2.
 """
 
@@ -13,6 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DomainError, PoleError, RangeError
 
 __all__ = [
@@ -21,6 +24,7 @@ __all__ = [
     "complex_gamma",
     "hurwitz_zeta",
     "hurwitz_zeta_minus_pole",
+    "hurwitz_zeta_em",
     "riemann_zeta",
     "binomial_series_coeff",
     "central_derivative",
@@ -41,6 +45,12 @@ def _require_finite(s: complex) -> complex:
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise DomainError(f"non-finite argument {s!r}")
     return s
+
+
+def require_finite_result(value: complex, err: float, what: str) -> None:
+    """Raise RangeError unless a computed value and its error bound are finite."""
+    if not (math.isfinite(value.real) and math.isfinite(value.imag) and math.isfinite(err)):
+        raise RangeError(f"{what} overflows")
 
 
 def in_critical_strip(s: complex) -> bool:
@@ -95,11 +105,15 @@ def complex_gamma(s: complex) -> Evaluation:
     s = _require_finite(s)
     if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real):
         raise PoleError(f"gamma pole at s={s.real:g}")
-    if s.real < 0.5:
-        # reflection formula
-        val = math.pi / (cmath.sin(math.pi * s) * _lanczos(1.0 - s))
-    else:
-        val = _lanczos(s)
+    try:
+        if s.real < 0.5:
+            # reflection formula
+            val = math.pi / (cmath.sin(math.pi * s) * _lanczos(1.0 - s))
+        else:
+            val = _lanczos(s)
+    except (OverflowError, ZeroDivisionError):
+        raise RangeError(f"Gamma({s!r}) overflows") from None
+    require_finite_result(val, 0.0, f"Gamma({s!r})")
     return Evaluation(val, 5e-13 * abs(val))
 
 
@@ -114,90 +128,102 @@ _B2N = (
     Fraction(854513, 138), Fraction(-236364091, 2730), Fraction(8553103, 6),
 )
 # B_{2r} / (2r)!  for r = 1..13 (the 13th only feeds the error estimate)
-_EM_COEFF = tuple(float(b / math.factorial(2 * r)) for r, b in enumerate(_B2N, start=1))
+_EM_COEFF = np.array([float(b / math.factorial(2 * r)) for r, b in enumerate(_B2N, start=1)])
 
 _MAX_PAIRS = 12
 _MAX_IM = 100.0
+_MAX_GRID = 1 << 22  # (residue x term) cells in one pass: 64 MB of complex terms
 
 
-def _expm1_over(w: complex) -> complex:
-    """(e^w - 1) / w, stable for small |w|."""
-    if abs(w) < 1e-4:
-        return 1.0 + w / 2.0 + w * w / 6.0 + w * w * w / 24.0
-    return (cmath.exp(w) - 1.0) / w
+def hurwitz_zeta_em(s: complex, a, *, n_terms=None, pairs=None,
+                    subtract_pole: bool = False):
+    """Euler-Maclaurin zeta(s, a_i) for every a_i > 0 in one numpy pass.
 
-
-def _hurwitz_em(s: complex, a: float, n_terms=None, pairs=None,
-                subtract_pole: bool = False):
-    """Euler-Maclaurin core; `a` may be any positive real here.
-
-    Returns (value, abs_error).  With subtract_pole the quantity computed
-    is zeta(s, a) - 1/(s-1), which is finite (and smooth) at s = 1.
+    Returns (values, abs_errors), a complex and a float array shaped like
+    `a`.  With subtract_pole each value is zeta(s, a_i) - 1/(s-1), which
+    is finite (and smooth) at s = 1.  Every a_i shares the partial-sum
+    length N = max(20, 2|t|) and the Bernoulli-pair count, so the partial
+    sums form one (residue x term) grid and the Bernoulli corrections one
+    (residue x pair) product.  The error estimate is the first omitted
+    Bernoulli term plus the rounding of every summed term, whose phase
+    -t log(j+a) is off by up to |s| |log(j+a)| units in the last place.
+    Raises RangeError when a term, a value or an error estimate is not
+    finite.
     """
-    sigma, t = s.real, s.imag
-    if abs(t) > _MAX_IM:
-        raise RangeError(f"|Im s| = {abs(t):g} > {_MAX_IM:g} is unsupported")
-    n = n_terms if n_terms else max(20, math.ceil(2.0 * abs(t)))
+    s = _require_finite(s)
+    a = np.asarray(a, dtype=float)
+    if a.size == 0 or not (a > 0.0).all():
+        raise DomainError("need at least one Hurwitz parameter a, all positive")
+    if abs(s.imag) > _MAX_IM:
+        raise RangeError(f"|Im s| = {abs(s.imag):g} > {_MAX_IM:g} is unsupported")
+    n = n_terms if n_terms else max(20, math.ceil(2.0 * abs(s.imag)))
     m = min(pairs if pairs else _MAX_PAIRS, _MAX_PAIRS)
+    if n < 1 or m < 1:
+        raise DomainError("Euler-Maclaurin terms and pairs must be positive")
+    if n * a.size > _MAX_GRID:
+        raise RangeError(f"{n} terms x {a.size} residues exceeds {_MAX_GRID} cells")
 
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    abs_acc = 0.0
-    for j in range(n):
-        term = cmath.exp(-s * math.log(j + a))
-        abs_acc += abs(term)
-        y = term - comp
-        tt = total + y
-        comp = (tt - total) - y
-        total = tt
+    col = a.reshape(-1, 1)
+    with np.errstate(all="ignore"):
+        logs = np.log(np.arange(n) + col)
+        terms = np.exp(-s * logs)
+        total = terms.sum(axis=1)
+        # rounding: the phase -t log(j+a) of a term is off by up to |s| |log(j+a)| ulps
+        rounding = (np.abs(terms) * (1.0 + abs(s) * np.abs(logs))).sum(axis=1)
 
-    base = n + a
-    lb = math.log(base)
-    pw = cmath.exp(-s * lb)  # base^{-s}
-    if subtract_pole:
-        # ((N+a)^{1-s} - 1) / (s - 1) = -log(N+a) * phi((1-s) log(N+a))
-        integral = -lb * _expm1_over((1.0 - s) * lb)
-    else:
-        integral = base * pw / (s - 1.0)
-    total = total + integral + 0.5 * pw
-    abs_acc += abs(integral) + 0.5 * abs(pw)
+        base = n + a.ravel()
+        lb = np.log(base)
+        pw = np.exp(-s * lb)  # base^{-s}
+        if subtract_pole:
+            # ((N+a)^{1-s} - 1) / (s - 1) = -log(N+a) * (e^w - 1) / w, w = (1-s) log(N+a)
+            w = (1.0 - s) * lb
+            if abs(1.0 - s) * lb.max() < 1e-4:  # Taylor series of (e^w - 1) / w
+                integral = -lb * (1.0 + w / 2.0 + w * w / 6.0 + w * w * w / 24.0)
+            else:
+                integral = -lb * ((np.exp(w) - 1.0) / w)
+        else:
+            integral = base * pw / (s - 1.0)
+        total += integral + 0.5 * pw
+        tail_abs = np.abs(integral) + 0.5 * np.abs(pw)
 
-    poch = s  # s (s+1) ... (s + 2r - 2), starting at r = 1
-    cur = pw / base  # base^{-s - (2r - 1)}
-    inv2 = 1.0 / (base * base)
-    for r in range(1, m + 1):
-        term = _EM_COEFF[r - 1] * poch * cur
-        total += term
-        abs_acc += abs(term)
-        poch *= (s + (2 * r - 1)) * (s + 2 * r)
-        cur *= inv2
+        # s (s+1) ... (s + 2r - 2) for r = 1..m+1; the last feeds the error only
+        rise = (s + np.arange(1, 2 * m + 1, 2)) * (s + np.arange(2, 2 * m + 2, 2))
+        poch = np.cumprod(np.concatenate(([s], rise)))
+        # base^{-s - (2r - 1)} for r = 1..m+1
+        cur = (pw / base)[:, None] * (base * base)[:, None] ** -np.arange(m + 1)
+        bern = (_EM_COEFF[:m + 1] * poch) * cur
+        total += bern[:, :m].sum(axis=1)
+        tail_abs += np.abs(bern[:, :m]).sum(axis=1)
+        rounding += (1.0 + abs(s) * lb) * tail_abs
 
-    # remainder bound: first omitted Bernoulli term times a safety factor
-    omitted = abs(_EM_COEFF[m] * poch * cur)
-    denom = sigma + 2 * m + 1
-    factor = abs(s + 2 * m + 1) / denom if denom > 0 else 10.0
-    err = omitted * max(1.0, factor) + 4e-16 * abs_acc
-    return total, err
+        # remainder bound: first omitted Bernoulli term times a safety factor
+        denom = s.real + 2 * m + 1
+        factor = abs(s + 2 * m + 1) / denom if denom > 0 else 10.0
+        err = np.abs(bern[:, m]) * max(1.0, factor) + 4e-16 * rounding
+    if not (np.isfinite(total).all() and np.isfinite(err).all()):
+        raise RangeError(f"Euler-Maclaurin sum overflows at s = {s!r}")
+    return total.reshape(a.shape), err.reshape(a.shape)
+
+
+def _hurwitz_one(s, a: float, n_terms, pairs, subtract_pole: bool) -> Evaluation:
+    s = _require_finite(s)
+    if not (0.0 < a <= 1.0):
+        raise DomainError(f"a = {a:g} outside (0, 1]")
+    if s == 1.0 and not subtract_pole:
+        raise PoleError("hurwitz_zeta pole at s = 1")
+    value, err = hurwitz_zeta_em(s, a, n_terms=n_terms, pairs=pairs,
+                                 subtract_pole=subtract_pole)
+    return Evaluation(complex(value), float(err))
 
 
 def hurwitz_zeta(s: complex, a: float, *, n_terms=None, pairs=None) -> Evaluation:
     """Analytically continued Hurwitz zeta(s, a) for 0 < a <= 1, s != 1."""
-    s = _require_finite(s)
-    if not (0.0 < a <= 1.0):
-        raise DomainError(f"a = {a:g} outside (0, 1]")
-    if s == 1.0:
-        raise PoleError("hurwitz_zeta pole at s = 1")
-    value, err = _hurwitz_em(s, float(a), n_terms, pairs)
-    return Evaluation(value, err)
+    return _hurwitz_one(s, a, n_terms, pairs, subtract_pole=False)
 
 
 def hurwitz_zeta_minus_pole(s: complex, a: float, *, n_terms=None, pairs=None) -> Evaluation:
     """zeta(s, a) - 1/(s-1); finite at s = 1, used for pole cancellation."""
-    s = _require_finite(s)
-    if not (0.0 < a <= 1.0):
-        raise DomainError(f"a = {a:g} outside (0, 1]")
-    value, err = _hurwitz_em(s, float(a), n_terms, pairs, subtract_pole=True)
-    return Evaluation(value, err)
+    return _hurwitz_one(s, a, n_terms, pairs, subtract_pole=True)
 
 
 def riemann_zeta(s: complex, *, n_terms=None, pairs=None) -> Evaluation:

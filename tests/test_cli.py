@@ -1,5 +1,11 @@
+import contextlib
 import io
 import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cyclospec
 from cyclospec.cli import DISPATCH, OPERATION_SUBCOMMANDS, emit, run
@@ -225,6 +231,57 @@ def test_bad_char_index_usage(capsys):
         ["l", "eval", "--modulus", "5", "--char-index", "9", "--s", "2,0"], capsys)
     assert code == 1
     assert "out of range" in err
+
+
+# ---------------------------------------------------------------------------
+# refusals: exit 2 with a one-line reason, never a traceback or nan
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    "l eval --modulus 5 --char-index 2 --s 1e308,0",
+    "l eval --modulus 5 --char-index 2 --s=-300,0",
+    "l eval --modulus 5 --char-index 2 --s 400,0",
+    "l eval --modulus 13 --char-index 6 --s 270,0",
+    "ln eval --modulus 5 --char-index 2 --n 16 --s nan,9",
+    "ln eval --modulus 5 --char-index 2 --n 16 --s 300,0",
+    "ln eval --modulus 5 --char-index 2 --n 16 --s 1e308,1e308",
+    "ln eval --modulus 5 --char-index 2 --n 4 --s 0.5,1e6",
+    "sums faulhaber --modulus 5 --char-index 2 --n 2 --m 200",
+    "sums faulhaber --modulus 5 --char-index 2 --n 1 --m 100",
+])
+def test_out_of_range_refused_exit_2(argv, capsys):
+    code, out, err = run_capture(argv.split(), capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("cyclospec: ")
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(cmd=st.sampled_from(["l", "ln"]),
+       modulus=st.integers(min_value=3, max_value=30),
+       index=st.integers(min_value=0, max_value=12),
+       n=st.integers(min_value=1, max_value=40),
+       re=st.one_of(st.floats(), st.floats(min_value=-400.0, max_value=400.0)),
+       im=st.one_of(st.floats(), st.floats(min_value=-120.0, max_value=120.0)))
+def test_eval_never_raises_and_exit_0_is_finite(cmd, modulus, index, n, re, im):
+    argv = [cmd, "eval", "--modulus", str(modulus), "--char-index", str(index),
+            f"--s={re!r},{im!r}"]
+    if cmd == "ln":
+        argv += ["--n", str(n)]
+    code, out = _run_quiet(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        header, row = out.splitlines()
+        for name, cell in zip(header.split(","), row.split(",")):
+            if cell:
+                assert math.isfinite(float(cell)), (argv, name, cell)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from cyclospec import dirichlet
 from cyclospec import (
     completed_xi,
     enumerate_characters,
@@ -100,6 +102,28 @@ def test_l_rejects_principal_and_small_modulus():
         l_function(2.0, enumerate_characters(2)[0])
 
 
+def test_l_error_estimate_bounds_mpmath():
+    # L(s, chi) = k^{-s} sum_m chi(m) zeta(s, m/k), every term at 25 digits;
+    # at t = 41 and 77 the rounding of the phase t log(j + a) dominates
+    failures = []
+    with mpmath.workdps(25):
+        for k in (5, 8, 12, 13, 21, 29):
+            chars = [c for c in enumerate_characters(k) if c.is_primitive and not c.is_principal]
+            units = [m for m in range(1, k) if math.gcd(m, k) == 1]
+            for sigma in (0.5, 1.5, 3.0):
+                for t in (0.5, 14.0, 41.0, 77.0):
+                    s = mpmath.mpc(sigma, t)
+                    zetas = [mpmath.zeta(s, mpmath.mpf(m) / k) for m in units]
+                    scale = mpmath.power(k, -s)
+                    for chi in chars:
+                        oracle = complex(scale * mpmath.fsum(
+                            mpmath.mpc(chi.values[m]) * z for m, z in zip(units, zetas)))
+                        lv = l_function(complex(sigma, t), chi)
+                        if abs(lv.value - oracle) > lv.abs_error_estimate:
+                            failures.append((k, chi.index, sigma, t))
+    assert not failures
+
+
 def test_l_finite_at_one():
     chi = quad_char(5)
     v = l_function(complex(1.0, 0.0), chi).value
@@ -175,6 +199,18 @@ def test_find_zero_chi8():
     chi = quad_char(8)
     t = find_critical_zero(chi, 0.1, 10.0)
     assert abs(completed_xi(complex(0.5, t), chi).value) <= 1e-8
+
+
+def test_find_zero_check_is_relative_to_xi(monkeypatch):
+    # |xi| ~ e^{-pi t / 4} near t = 60, so an absolute 1e-8 check accepts
+    # any point; the check relative to the grid bracket's ends does not
+    chi = quad_char(5)
+    t0 = find_critical_zero(chi, 59.0, 62.0)
+    off = t0 + 1e-3
+    assert abs(completed_xi(complex(0.5, off), chi).value) <= 1e-8
+    monkeypatch.setattr(dirichlet, "_illinois", lambda *args: off)
+    with pytest.raises(NoZeroFoundError):
+        find_critical_zero(chi, 59.0, 62.0)
 
 
 def test_find_zero_degenerate_range():
