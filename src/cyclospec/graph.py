@@ -15,8 +15,8 @@ import numpy as np
 
 from .characters import DirichletCharacter
 from .dirichlet import completed_xi, l_function
-from .errors import DisconnectedGraphError, DomainError, HypothesisError, PoleError, RangeError
-from .special import Evaluation, complex_gamma, require_finite_result
+from .errors import DisconnectedGraphError, HypothesisError, PoleError, RangeError
+from .special import Evaluation, _require_finite, complex_gamma, require_finite_result
 
 __all__ = [
     "GraphLParams",
@@ -60,10 +60,7 @@ class GraphLParams:
             raise HypothesisError(f"character ({chi.modulus},{chi.index}) is not primitive")
         if not chi.is_even and not self.allow_odd:
             raise HypothesisError(f"character ({chi.modulus},{chi.index}) is odd")
-        s = complex(self.s)
-        if not (math.isfinite(s.real) and math.isfinite(s.imag)):
-            raise DomainError(f"non-finite argument s = {s!r}")
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s", _require_finite(self.s))
 
 
 def graph_l_n(p: GraphLParams) -> Evaluation:
@@ -73,22 +70,22 @@ def graph_l_n(p: GraphLParams) -> Evaluation:
     total = 0.0 + 0.0j
     comp = 0.0 + 0.0j
     max_abs = 0.0
-    try:
-        for j in range(1, m):
-            v = p.chi(j)
-            if v == 0.0:
-                continue
-            # sin argument in (0, 1): the real log gives the principal branch
+    for j in range(1, m):
+        v = p.chi(j)
+        if v == 0.0:
+            continue
+        # sin argument in (0, 1): the real log gives the principal branch
+        try:
             term = v * cmath.exp(-s * math.log(math.sin(math.pi * j / m)))
-            a = abs(term)
-            if a > max_abs:
-                max_abs = a
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-    except (OverflowError, ValueError):  # cmath.exp of an overflowed exponent
-        raise RangeError(f"L_n({s!r}, chi) overflows") from None
+        except (OverflowError, ValueError):  # the exponent overflowed
+            raise RangeError(f"L_n({s!r}, chi) overflows") from None
+        a = abs(term)
+        if a > max_abs:
+            max_abs = a
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
     err = 4e-16 * m * max_abs
     require_finite_result(total, err, f"L_n({s!r}, chi)")
     return Evaluation(total, err)
