@@ -9,7 +9,7 @@ Subcommands:
 
 Exit status: 0 success, 1 usage error, 2 computation error.  Output is
 byte-stable: fixed float formatting (17 significant digits), fixed row
-ordering regardless of --jobs.
+ordering; --jobs is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import char_sums as cs
 from . import characters as ch
@@ -112,12 +110,14 @@ def _parse_range(text: str):
         start, end, step = (float(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"expected START,END,STEP triple, got {text!r}") from None
-    if step <= 0:
-        raise UsageError("range STEP must be positive")
+    if not (math.isfinite(start) and math.isfinite(end) and 0 < step < math.inf):
+        raise UsageError("range START, END and STEP must be finite, STEP positive")
     out = []
     x = start
     while x <= end + 1e-12:
         out.append(round(x, 12))
+        if x + step == x:
+            raise UsageError(f"range STEP {step:g} too small to advance from {x:g}")
         x += step
     return out
 
@@ -133,8 +133,7 @@ def _parse_int_list(text: str):
 def _add_common(p: _Parser):
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--output", default=None, help="output path (default stdout)")
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("CYCLOSPEC_JOBS", os.cpu_count() or 1)))
+    p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
     p.add_argument("--em-terms", type=int, default=None,
                    help="Euler-Maclaurin series cutoff override")
     p.add_argument("--em-pairs", type=int, default=None,
@@ -351,16 +350,16 @@ def cmd_ln_prop1(args):
     chi = _get_char(args.modulus, args.char_index)
     s = _parse_complex(args.s)
     n_list = _parse_int_list(args.n_list)
-    l0 = dl.l_function(s, chi).value
-    l2 = dl.l_function(s - 2.0, chi).value
+    l0 = dl.l_function(s, chi)
+    l2 = dl.l_function(s - 2.0, chi)
     rows = []
     for n in n_list:
         params = gr.GraphLParams(chi=chi, n=n, s=s)
         ln = gr.graph_l_n(params).value
-        approx = gr.asymptotic_l_n(params).value
+        approx = gr.asymptotic_l_n(params, l0=l0, l2=l2).value
         kn = chi.modulus * n
         scaled = 0.5 * cmath.exp(s * math.log(math.pi / kn)) * ln
-        remainder = scaled - l0 - (s / 6.0) * (math.pi / kn) ** 2 * l2
+        remainder = scaled - l0.value - (s / 6.0) * (math.pi / kn) ** 2 * l2.value
         rows.append({
             "n": n, "l_n_re": ln.real, "l_n_im": ln.imag,
             "asymptotic_re": approx.real, "asymptotic_im": approx.imag,
@@ -375,21 +374,11 @@ def cmd_ln_ratio(args):
     ts = _parse_range(args.t_range)
     n_list = _parse_int_list(args.n_list)
     s_grid = [complex(sig, t) for sig in sigmas for t in ts]
-
-    def work(s):
-        return gr.ratio_experiment(chi, [s], n_list)
-
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        chunks = list(pool.map(work, s_grid))
-    rows = []
-    for chunk in chunks:
-        for r in chunk:
-            rows.append({
-                "sigma": r.sigma, "t": r.t, "n": r.n, "ratio": r.ratio,
-                "abs_ratio_minus_1": r.abs_ratio_minus_1,
-                "near_zero_flag": r.near_zero, "alpha_ratio": r.alpha_ratio,
-            })
-    return rows
+    return [{
+        "sigma": r.sigma, "t": r.t, "n": r.n, "ratio": r.ratio,
+        "abs_ratio_minus_1": r.abs_ratio_minus_1,
+        "near_zero_flag": r.near_zero, "alpha_ratio": r.alpha_ratio,
+    } for r in gr.ratio_experiment(chi, s_grid, n_list)]
 
 
 def cmd_sums_powers(args):

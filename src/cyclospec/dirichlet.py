@@ -18,7 +18,7 @@ import numpy as np
 
 from .characters import DirichletCharacter, gauss_sum
 from .errors import HypothesisError, NoZeroFoundError, PoleError
-from .special import complex_gamma, hurwitz_zeta_em, require_finite_result
+from .special import Evaluation, complex_gamma, hurwitz_zeta_em, require_finite_result
 
 __all__ = [
     "LValue",
@@ -79,25 +79,32 @@ def l_function(s: complex, chi: DirichletCharacter, *, n_terms=None, pairs=None)
     return LValue(s=s, chi_id=(k, chi.index), value=value, abs_error_estimate=err)
 
 
-def _check_gamma_half_pole(s: complex):
-    # poles of Gamma(s/2): s in {0, -2, -4, ...}
+def _gamma_factor(s: complex, k: int) -> Evaluation:
+    """(pi/k)^{-s/2} Gamma(s/2), the factor that completes L(s, chi) mod k to xi.
+
+    The one check for the poles of Gamma(s/2), at s = 0, -2, -4, ...
+    """
     if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real) and int(s.real) % 2 == 0:
         raise PoleError(f"Gamma(s/2) pole at s = {s.real:g}")
+    g = complex_gamma(s / 2.0)
+    pref = cmath.exp(-(s / 2.0) * math.log(math.pi / k))
+    return Evaluation(pref * g.value, abs(pref) * g.abs_error_estimate)
+
+
+def _xi_from_l(factor: Evaluation, lv: LValue) -> LValue:
+    """xi = factor * L, factor = _gamma_factor(lv.s, k)."""
+    value = factor.value * lv.value
+    err = abs(factor.value) * lv.abs_error_estimate + abs(lv.value) * factor.abs_error_estimate
+    require_finite_result(value, err, f"xi({lv.s!r}, chi)")
+    return LValue(s=lv.s, chi_id=lv.chi_id, value=value, abs_error_estimate=err)
 
 
 def completed_xi(s: complex, chi: DirichletCharacter, *, n_terms=None, pairs=None) -> LValue:
     """xi(s, chi) = (pi/k)^{-s/2} Gamma(s/2) L(s, chi) for primitive even chi."""
     _require_even_primitive(chi)
     s = complex(s)
-    _check_gamma_half_pole(s)
-    k = chi.modulus
-    g = complex_gamma(s / 2.0)
-    lv = l_function(s, chi, n_terms=n_terms, pairs=pairs)
-    pref = cmath.exp(-(s / 2.0) * math.log(math.pi / k))
-    value = pref * g.value * lv.value
-    err = abs(pref) * (abs(g.value) * lv.abs_error_estimate + abs(lv.value) * g.abs_error_estimate)
-    require_finite_result(value, err, f"xi({s!r}, chi)")
-    return LValue(s=s, chi_id=(k, chi.index), value=value, abs_error_estimate=err)
+    factor = _gamma_factor(s, chi.modulus)
+    return _xi_from_l(factor, l_function(s, chi, n_terms=n_terms, pairs=pairs))
 
 
 def _verify_positive_real_gauss(chi: DirichletCharacter):

@@ -120,6 +120,28 @@ def test_ratio_sweep_deterministic_across_jobs(capsys):
     assert len(out1.splitlines()) == 1 + 3 * 2 * 2
 
 
+def test_jobs_environment_variable_ignored(monkeypatch, capsys):
+    monkeypatch.setenv("CYCLOSPEC_JOBS", "abc")
+    code, out, err = run_capture(
+        ["l", "eval", "--modulus", "5", "--char-index", "2", "--s", "0.5,3"], capsys)
+    assert code == 0
+    assert err == ""
+    assert len(out.splitlines()) == 2
+
+
+@pytest.mark.parametrize("ranges", [
+    ["--sigma-range", "inf,inf,1", "--t-range", "8,8,1"],
+    ["--sigma-range", "0.5,0.5,1", "--t-range", "8,nan,1"],
+    ["--sigma-range", "0.5,0.5,1", "--t-range", "1e20,1e20,1"],
+])
+def test_ratio_range_without_progress_is_usage_error(ranges, capsys):
+    code, out, err = run_capture(
+        ["ln", "ratio", "--modulus", "5", "--char-index", "2", *ranges, "--n-list", "2"],
+        capsys)
+    assert code == 1
+    assert out == ""
+
+
 def test_output_file_byte_identical(tmp_path, capsys):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["sums", "powers", "--modulus", "5", "--char-index", "2",
@@ -248,6 +270,8 @@ def test_bad_char_index_usage(capsys):
     "ln eval --modulus 5 --char-index 2 --n 4 --s 0.5,1e6",
     "sums faulhaber --modulus 5 --char-index 2 --n 2 --m 200",
     "sums faulhaber --modulus 5 --char-index 2 --n 1 --m 100",
+    "graph lg --modulus 5 --char-index 2 --cycle 20 --s 400,0",
+    "graph lg --modulus 5 --char-index 2 --cycle 20 --s nan,0",
 ])
 def test_out_of_range_refused_exit_2(argv, capsys):
     code, out, err = run_capture(argv.split(), capsys)
@@ -263,25 +287,45 @@ def _run_quiet(argv):
     return code, out.getvalue()
 
 
+def _float_cell(cell):
+    try:
+        return float(cell)
+    except ValueError:  # a flag, a name or an exact integer string
+        return None
+
+
 @settings(max_examples=200, deadline=None)
-@given(cmd=st.sampled_from(["l", "ln"]),
+@given(cmd=st.sampled_from(["l eval", "ln eval", "graph lg", "ln ratio"]),
        modulus=st.integers(min_value=3, max_value=30),
        index=st.integers(min_value=0, max_value=12),
        n=st.integers(min_value=1, max_value=40),
-       re=st.one_of(st.floats(), st.floats(min_value=-400.0, max_value=400.0)),
+       m=st.integers(min_value=-2, max_value=800),
+       ordering=st.sampled_from(["ascending", "frequency"]),
+       re=st.one_of(st.floats(), st.floats(min_value=-400.0, max_value=400.0),
+                    st.floats(min_value=0.0, max_value=1.0)),
        im=st.one_of(st.floats(), st.floats(min_value=-120.0, max_value=120.0)))
-def test_eval_never_raises_and_exit_0_is_finite(cmd, modulus, index, n, re, im):
-    argv = [cmd, "eval", "--modulus", str(modulus), "--char-index", str(index),
-            f"--s={re!r},{im!r}"]
-    if cmd == "ln":
+def test_eval_never_raises_and_exit_0_is_finite(cmd, modulus, index, n, m, ordering, re, im):
+    # l eval, ln eval, graph lg --cycle m and a one-point ln ratio sweep
+    argv = [*cmd.split(), "--modulus", str(modulus), "--char-index", str(index)]
+    if cmd == "ln ratio":
+        argv += [f"--sigma-range={re!r},{re!r},0.25", f"--t-range={im!r},{im!r},1",
+                 "--n-list", f"{n},{2 * n}"]
+    else:
+        argv.append(f"--s={re!r},{im!r}")
+    if cmd == "ln eval":
         argv += ["--n", str(n)]
+    if cmd == "graph lg":
+        argv += ["--cycle", str(m), "--ordering", ordering]
     code, out = _run_quiet(argv)
     assert code in (0, 1, 2)
     if code == 0:
-        header, row = out.splitlines()
-        for name, cell in zip(header.split(","), row.split(",")):
-            if cell:
-                assert math.isfinite(float(cell)), (argv, name, cell)
+        header, *rows = out.splitlines()
+        assert rows
+        for row in rows:
+            for name, cell in zip(header.split(","), row.split(",")):
+                x = _float_cell(cell)
+                if x is not None:
+                    assert math.isfinite(x), (argv, name, cell)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 
 from cyclospec import (
@@ -84,6 +85,28 @@ def test_desk_oracle_k5_n1_s1():
     )
     v = graph_l_n(GraphLParams(chi=CHI5, n=1, s=1.0)).value
     assert abs(v - oracle) < 1e-13
+
+
+def test_l_n_error_estimate_bounds_mpmath():
+    # every term at 40 digits; at large |t| the phase t log sin(pi j / kn)
+    # is rounded to |s| |log sin| ulps, which the estimate must cover
+    failures = []
+    with mpmath.workdps(40):
+        for k in (5, 13):
+            for chi in enumerate_characters(k):
+                if not (chi.is_even and chi.is_primitive):
+                    continue
+                for s in (0.5 + 14j, 1.5 + 1e3j, 1.5 + 1e4j, 0.9 - 700j):
+                    for n in (1, 16, 64):
+                        m = k * n
+                        oracle = complex(mpmath.fsum(
+                            mpmath.mpc(chi(j)) * mpmath.power(mpmath.sin(mpmath.pi * j / m),
+                                                              -mpmath.mpc(s))
+                            for j in range(1, m) if chi(j) != 0))
+                        ev = graph_l_n(GraphLParams(chi=chi, n=n, s=s))
+                        if abs(ev.value - oracle) > ev.abs_error_estimate:
+                            failures.append((k, chi.index, s, n))
+    assert not failures
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +301,25 @@ def test_general_graph_cycle_consistency():
         lg = graph_l_general(cycle_spectrum(m), CHI5, s, ordering="frequency").value
         ln = graph_l_n(GraphLParams(chi=CHI5, n=n, s=2 * s)).value
         assert abs(lg - cmath.exp(-s * math.log(4.0)) * ln) <= 1e-9
+
+
+def test_general_graph_error_estimate_bounds_mpmath():
+    # the exact spectrum 4 sin^2(pi j / m) at 40 digits against the FFT one;
+    # the estimate must cover the eigenvalues' rounding as well as the sum's
+    failures = []
+    with mpmath.workdps(40):
+        for chi in (CHI5, quad_char(13)):
+            for m, s in ((700, 0.9 + 5j), (700, 0.5 + 40j), (450, 0.5)):
+                exact = [4 * mpmath.sin(mpmath.pi * j / m) ** 2 for j in range(1, m)]
+                spectrum = cycle_spectrum(m)
+                for ordering, lams in (("frequency", exact), ("ascending", sorted(exact))):
+                    oracle = complex(mpmath.fsum(
+                        mpmath.mpc(chi(j)) * mpmath.power(lam, -mpmath.mpc(s))
+                        for j, lam in enumerate(lams, start=1) if chi(j) != 0))
+                    ev = graph_l_general(spectrum, chi, s, ordering=ordering)
+                    if abs(ev.value - oracle) > ev.abs_error_estimate:
+                        failures.append((chi.modulus, m, s, ordering))
+    assert not failures
 
 
 def test_general_graph_path_m2():
