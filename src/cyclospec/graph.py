@@ -80,11 +80,12 @@ def _power_sum(weights, logs, s: complex, log_err, what: str) -> Evaluation:
     keep = weights != 0.0
     weights, logs = weights[keep], logs[keep]
     log_err = log_err[keep] if np.ndim(log_err) else log_err
+    abs_s = math.hypot(s.real, s.imag)  # inf, where abs(s) raises, beyond the float range
     with np.errstate(all="ignore"):
         terms = weights * np.exp(-s * logs)
         total = complex(terms.sum())
-        ulps = 2.0 + math.log2(max(terms.size, 1)) + abs(s) * np.abs(logs)
-        err = float(np.abs(terms) @ (4e-16 * ulps + abs(s) * log_err))
+        ulps = 2.0 + math.log2(max(terms.size, 1)) + abs_s * np.abs(logs)
+        err = float(np.abs(terms) @ (4e-16 * ulps + abs_s * log_err))
     if not np.isfinite(terms).all():
         raise RangeError(f"{what} overflows")
     require_finite_result(total, err, what)

@@ -267,11 +267,13 @@ def test_bad_char_index_usage(capsys):
     "ln eval --modulus 5 --char-index 2 --n 16 --s nan,9",
     "ln eval --modulus 5 --char-index 2 --n 16 --s 300,0",
     "ln eval --modulus 5 --char-index 2 --n 16 --s 1e308,1e308",
+    "ln eval --modulus 5 --char-index 2 --n 16 --s 1.3e308,1.3e308",
     "ln eval --modulus 5 --char-index 2 --n 4 --s 0.5,1e6",
     "sums faulhaber --modulus 5 --char-index 2 --n 2 --m 200",
     "sums faulhaber --modulus 5 --char-index 2 --n 1 --m 100",
     "graph lg --modulus 5 --char-index 2 --cycle 20 --s 400,0",
     "graph lg --modulus 5 --char-index 2 --cycle 20 --s nan,0",
+    "graph lg --modulus 5 --char-index 2 --cycle 20 --s 1.3e308,1.3e308",
 ])
 def test_out_of_range_refused_exit_2(argv, capsys):
     code, out, err = run_capture(argv.split(), capsys)
