@@ -49,8 +49,6 @@ from .special import (
     binomial_series_coeff,
     complex_gamma,
     hurwitz_zeta,
-    in_critical_strip,
-    kahan_sum,
     riemann_zeta,
 )
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .characters import DirichletCharacter
-from .dirichlet import l_function
+from .dirichlet import _require_even_primitive, l_function
 from .errors import HypothesisError, RangeError
 from .graph import GraphLParams, graph_l_n
 from .special import Evaluation
@@ -46,14 +46,7 @@ def _require_real(chi: DirichletCharacter):
 
 def _require_even_real_primitive(chi: DirichletCharacter):
     _require_real(chi)
-    if chi.modulus < 3:
-        raise HypothesisError("modulus must be >= 3")
-    if chi.is_principal:
-        raise HypothesisError("principal characters are not supported")
-    if not chi.is_primitive:
-        raise HypothesisError(f"character ({chi.modulus},{chi.index}) is not primitive")
-    if not chi.is_even:
-        raise HypothesisError(f"character ({chi.modulus},{chi.index}) is odd")
+    _require_even_primitive(chi)
 
 
 def s_power_sum(m: int, chi: DirichletCharacter) -> ExactSum:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -126,11 +125,6 @@ class DirichletCharacter:
     def __call__(self, j: int) -> complex:
         return self.values[j % self.modulus]
 
-    def angle(self, j: int):
-        """Exact angle of chi(j) as a Fraction of a full turn, or None."""
-        a = self.logs[j % self.modulus]
-        return None if a is None else Fraction(a, self.exponent)
-
     def int_value(self, j: int) -> int:
         """chi(j) as an exact integer in {-1, 0, 1}; real characters only."""
         if not self.is_real:
@@ -243,7 +237,7 @@ def enumerate_characters(k: int):
 
 def conductor(chi: DirichletCharacter) -> int:
     """Smallest f | k such that chi is induced by a character mod f."""
-    return _conductor_of(chi.modulus, chi.logs)
+    return chi.conductor
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,7 @@ from . import char_sums as cs
 from . import characters as ch
 from . import dirichlet as dl
 from . import graph as gr
-from .errors import ComputationError, UsageError
+from .errors import ComputationError, RangeError, UsageError
 
 __all__ = ["run", "main", "emit", "DISPATCH", "OPERATION_SUBCOMMANDS"]
 
@@ -97,12 +97,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_complex(text: str) -> complex:
+def _parse_pair(text: str, what: str, kind=float):
     try:
-        re_s, im_s = text.split(",")
-        return complex(float(re_s), float(im_s))
+        a, b = (kind(x) for x in text.split(","))
     except ValueError:
-        raise UsageError(f"expected RE,IM pair, got {text!r}") from None
+        raise UsageError(f"expected {what}, got {text!r}") from None
+    return a, b
+
+
+def _parse_complex(text: str) -> complex:
+    return complex(*_parse_pair(text, "RE,IM pair"))
 
 
 def _parse_range(text: str):
@@ -130,104 +134,12 @@ def _parse_int_list(text: str):
         raise UsageError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _add_common(p: _Parser):
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.add_argument("--output", default=None, help="output path (default stdout)")
-    p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
-    p.add_argument("--em-terms", type=int, default=None,
-                   help="Euler-Maclaurin series cutoff override")
-    p.add_argument("--em-pairs", type=int, default=None,
-                   help="Euler-Maclaurin Bernoulli-pair count override")
-
-
-def _add_char_args(p: _Parser):
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--char-index", type=int, required=True)
-
-
-def _build_parser() -> _Parser:
-    top = _Parser(prog="cyclospec", description=__doc__,
-                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = top.add_subparsers(dest="command")
-
-    p = sub.add_parser("characters", help="enumerate characters mod k")
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--filter", default="",
-                   help="comma list from: primitive,even,real,nonprincipal")
-    _add_common(p)
-
-    lp = sub.add_parser("l", help="Dirichlet L-function operations")
-    lsub = lp.add_subparsers(dest="subcommand")
-    p = lsub.add_parser("eval")
-    _add_char_args(p)
-    p.add_argument("--s", required=True, help="RE,IM")
-    _add_common(p)
-    p = lsub.add_parser("zeros")
-    _add_char_args(p)
-    p.add_argument("--range", required=True, help="LO,HI")
-    _add_common(p)
-    p = lsub.add_parser("monotonicity")
-    _add_char_args(p)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--sigma-step", type=float, default=0.05)
-    p.add_argument("--force", action="store_true")
-    _add_common(p)
-
-    lnp = sub.add_parser("ln", help="cycle-graph L_n operations")
-    lnsub = lnp.add_subparsers(dest="subcommand")
-    p = lnsub.add_parser("eval")
-    _add_char_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", required=True, help="RE,IM")
-    _add_common(p)
-    p = lnsub.add_parser("prop1")
-    _add_char_args(p)
-    p.add_argument("--s", required=True, help="RE,IM")
-    p.add_argument("--n-list", required=True)
-    _add_common(p)
-    p = lnsub.add_parser("ratio")
-    _add_char_args(p)
-    p.add_argument("--sigma-range", required=True, help="START,END,STEP")
-    p.add_argument("--t-range", required=True, help="START,END,STEP")
-    p.add_argument("--n-list", required=True)
-    _add_common(p)
-
-    sp = sub.add_parser("sums", help="character power-sum operations")
-    ssub = sp.add_subparsers(dest="subcommand")
-    p = ssub.add_parser("powers")
-    _add_char_args(p)
-    p.add_argument("--m-range", required=True, help="LO,HI (integers)")
-    p.add_argument("--n", type=int, default=1)
-    _add_common(p)
-    p = ssub.add_parser("faulhaber")
-    _add_char_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    _add_common(p)
-    p = ssub.add_parser("cos-scan")
-    _add_char_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m-max", type=int, required=True)
-    _add_common(p)
-    p = ssub.add_parser("corollary5")
-    _add_char_args(p)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--n-list", required=True)
-    _add_common(p)
-
-    gp = sub.add_parser("graph", help="general-graph L-function")
-    gsub = gp.add_subparsers(dest="subcommand")
-    p = gsub.add_parser("lg")
-    _add_char_args(p)
-    p.add_argument("--s", required=True, help="RE,IM")
-    p.add_argument("--spectrum-file", default=None,
-                   help="one eigenvalue per line, decimal")
-    p.add_argument("--cycle", type=int, default=None,
-                   help="use the spectrum of the cycle C_m instead of a file")
-    p.add_argument("--ordering", choices=("ascending", "frequency"), default="ascending")
-    _add_common(p)
-
-    return top
+def _exact_text(v: int, what: str) -> str:
+    """Decimal text of an exact integer; RangeError past Python's digit limit."""
+    try:
+        return str(v)
+    except ValueError:  # sys.get_int_max_str_digits(), Python 3.11+
+        raise RangeError(f"{what} has too many digits to print as a decimal integer") from None
 
 
 def _get_char(modulus: int, index: int) -> ch.DirichletCharacter:
@@ -282,25 +194,17 @@ def cmd_l_eval(args):
         "modulus": chi.modulus, "char_index": chi.index,
         "s_re": s.real, "s_im": s.imag,
         "l_re": lv.value.real, "l_im": lv.value.imag,
-        "abs_error": lv.abs_error_estimate,
+        "abs_error": lv.abs_error_estimate, "xi_re": None, "xi_im": None,
     }
     if chi.is_primitive and chi.is_even:
-        xi = dl.completed_xi(s, chi, n_terms=args.em_terms, pairs=args.em_pairs)
-        row["xi_re"] = xi.value.real
-        row["xi_im"] = xi.value.imag
-    else:
-        row["xi_re"] = None
-        row["xi_im"] = None
+        xi = dl.completed_xi(s, chi, n_terms=args.em_terms, pairs=args.em_pairs).value
+        row["xi_re"], row["xi_im"] = xi.real, xi.imag
     return [row]
 
 
 def cmd_l_zeros(args):
     chi = _get_char(args.modulus, args.char_index)
-    try:
-        lo_s, hi_s = args.range.split(",")
-        lo, hi = float(lo_s), float(hi_s)
-    except ValueError:
-        raise UsageError(f"expected LO,HI pair, got {args.range!r}") from None
+    lo, hi = _parse_pair(args.range, "LO,HI pair")
     t_star = dl.find_critical_zero(chi, lo, hi)
     return [{"modulus": chi.modulus, "char_index": chi.index, "t_star": t_star}]
 
@@ -334,15 +238,11 @@ def cmd_ln_eval(args):
         "modulus": chi.modulus, "char_index": chi.index, "n": args.n,
         "s_re": s.real, "s_im": s.imag,
         "l_n_re": ev.value.real, "l_n_im": ev.value.imag,
-        "abs_error": ev.abs_error_estimate,
+        "abs_error": ev.abs_error_estimate, "xi_n_re": None, "xi_n_im": None,
     }
     if 0.0 < s.real < 1.0:
-        xi = gr.graph_xi_n(params)
-        row["xi_n_re"] = xi.value.real
-        row["xi_n_im"] = xi.value.imag
-    else:
-        row["xi_n_re"] = None
-        row["xi_n_im"] = None
+        xi = gr.graph_xi_n(params).value
+        row["xi_n_re"], row["xi_n_im"] = xi.real, xi.imag
     return [row]
 
 
@@ -383,19 +283,16 @@ def cmd_ln_ratio(args):
 
 def cmd_sums_powers(args):
     chi = _get_char(args.modulus, args.char_index)
-    try:
-        lo_s, hi_s = args.m_range.split(",")
-        lo, hi = int(lo_s), int(hi_s)
-    except ValueError:
-        raise UsageError(f"expected LO,HI integer pair, got {args.m_range!r}") from None
+    lo, hi = _parse_pair(args.m_range, "LO,HI integer pair", int)
     rows = []
     for m in range(lo, hi + 1):
         es = cs.s_power_sum_range(m, chi, args.n)
+        value = _exact_text(es.value, f"S({m}, chi)")
         sign = (es.value > 0) - (es.value < 0)
         if sign < 0:
             print(f"counterexample candidate: S({m}, chi mod {chi.modulus} "
-                  f"index {chi.index}) = {es.value} < 0", file=sys.stderr)
-        rows.append({"m": m, "n": args.n, "value": str(es.value), "sign": sign})
+                  f"index {chi.index}) = {value} < 0", file=sys.stderr)
+        rows.append({"m": m, "n": args.n, "value": value, "sign": sign})
     return rows
 
 
@@ -406,7 +303,7 @@ def cmd_sums_faulhaber(args):
     lhs = lhs_int / kn ** args.m
     rhs = cs.faulhaber_rhs(args.m, chi, args.n)
     return [{
-        "m": args.m, "n": args.n, "lhs_exact": str(lhs_int),
+        "m": args.m, "n": args.n, "lhs_exact": _exact_text(lhs_int, f"S({args.m}, chi)"),
         "lhs_scaled": lhs, "rhs": rhs.value.real,
         "abs_residual": abs(lhs - rhs.value.real),
     }]
@@ -455,20 +352,85 @@ def cmd_graph_lg(args):
     }]
 
 
-DISPATCH = {
-    ("characters",): cmd_characters,
-    ("l", "eval"): cmd_l_eval,
-    ("l", "zeros"): cmd_l_zeros,
-    ("l", "monotonicity"): cmd_l_monotonicity,
-    ("ln", "eval"): cmd_ln_eval,
-    ("ln", "prop1"): cmd_ln_prop1,
-    ("ln", "ratio"): cmd_ln_ratio,
-    ("sums", "powers"): cmd_sums_powers,
-    ("sums", "faulhaber"): cmd_sums_faulhaber,
-    ("sums", "cos-scan"): cmd_sums_cos_scan,
-    ("sums", "corollary5"): cmd_sums_corollary5,
-    ("graph", "lg"): cmd_graph_lg,
+# ---------------------------------------------------------------------------
+# Command table: the parser and DISPATCH are both built from it
+# ---------------------------------------------------------------------------
+
+# arguments are (flag, add_argument keywords); each command lists its own,
+# in --help order, and every command then takes _COMMON
+_MODULUS = ("--modulus", dict(type=int, required=True))
+_CHAR = [_MODULUS, ("--char-index", dict(type=int, required=True))]
+_S = ("--s", dict(required=True, help="RE,IM"))
+_N = ("--n", dict(type=int, required=True))
+_N_LIST = ("--n-list", dict(required=True))
+_COMMON = [
+    ("--format", dict(choices=("json", "csv"), default="csv")),
+    ("--output", dict(help="output path (default stdout)")),
+    ("--jobs", dict(type=int, default=1, help="accepted; has no effect")),
+    ("--em-terms", dict(type=int, help="Euler-Maclaurin series cutoff override")),
+    ("--em-pairs", dict(type=int, help="Euler-Maclaurin Bernoulli-pair count override")),
+]
+
+_GROUP_HELP = {
+    "characters": "enumerate characters mod k",
+    "l": "Dirichlet L-function operations",
+    "ln": "cycle-graph L_n operations",
+    "sums": "character power-sum operations",
+    "graph": "general-graph L-function",
 }
+
+_COMMANDS = {
+    ("characters",): (cmd_characters, [
+        _MODULUS,
+        ("--filter", dict(default="", help="comma list from: primitive,even,real,nonprincipal")),
+    ]),
+    ("l", "eval"): (cmd_l_eval, [*_CHAR, _S]),
+    ("l", "zeros"): (cmd_l_zeros, [*_CHAR, ("--range", dict(required=True, help="LO,HI"))]),
+    ("l", "monotonicity"): (cmd_l_monotonicity, [
+        *_CHAR, ("--t", dict(type=float, required=True)),
+        ("--sigma-step", dict(type=float, default=0.05)),
+        ("--force", dict(action="store_true"))]),
+    ("ln", "eval"): (cmd_ln_eval, [*_CHAR, _N, _S]),
+    ("ln", "prop1"): (cmd_ln_prop1, [*_CHAR, _S, _N_LIST]),
+    ("ln", "ratio"): (cmd_ln_ratio, [
+        *_CHAR, ("--sigma-range", dict(required=True, help="START,END,STEP")),
+        ("--t-range", dict(required=True, help="START,END,STEP")), _N_LIST]),
+    ("sums", "powers"): (cmd_sums_powers, [
+        *_CHAR, ("--m-range", dict(required=True, help="LO,HI (integers)")),
+        ("--n", dict(type=int, default=1))]),
+    ("sums", "faulhaber"): (cmd_sums_faulhaber, [
+        *_CHAR, _N, ("--m", dict(type=int, required=True))]),
+    ("sums", "cos-scan"): (cmd_sums_cos_scan, [
+        *_CHAR, _N, ("--m-max", dict(type=int, required=True))]),
+    ("sums", "corollary5"): (cmd_sums_corollary5, [
+        *_CHAR, ("--s", dict(type=float, required=True)), _N_LIST]),
+    ("graph", "lg"): (cmd_graph_lg, [
+        *_CHAR, _S, ("--spectrum-file", dict(help="one eigenvalue per line, decimal")),
+        ("--cycle", dict(type=int, help="use the spectrum of the cycle C_m instead of a file")),
+        ("--ordering", dict(choices=("ascending", "frequency"), default="ascending"))]),
+}
+
+DISPATCH = {path: handler for path, (handler, _) in _COMMANDS.items()}
+
+
+def _build_parser() -> _Parser:
+    top = _Parser(prog="cyclospec", description=__doc__,
+                  formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = top.add_subparsers(dest="command")
+    groups = {}  # group name -> the subparsers action of its leaf commands
+    for path, (_, own) in _COMMANDS.items():
+        name = path[0]
+        if len(path) == 1:
+            p = sub.add_parser(name, help=_GROUP_HELP[name])
+        else:
+            if name not in groups:
+                groups[name] = sub.add_parser(name, help=_GROUP_HELP[name]).add_subparsers(
+                    dest="subcommand")
+            p = groups[name].add_parser(path[1])
+        for flag, kw in (*own, *_COMMON):
+            p.add_argument(flag, **kw)
+    return top
+
 
 # one subcommand per library operation (coverage is asserted in the tests)
 OPERATION_SUBCOMMANDS = {
@@ -506,8 +468,7 @@ def run(argv=None) -> int:
         return 1
     try:
         args = parser.parse_args(argv)
-        key = (args.command,) if args.command == "characters" else \
-            (args.command, getattr(args, "subcommand", None))
+        key = tuple(filter(None, (args.command, getattr(args, "subcommand", None))))
         handler = DISPATCH.get(key)
         if handler is None:
             raise UsageError(f"missing or unknown subcommand for {args.command!r}")

@@ -16,7 +16,7 @@ from math import gcd
 
 import numpy as np
 
-from .characters import DirichletCharacter, gauss_sum
+from .characters import DirichletCharacter
 from .errors import HypothesisError, NoZeroFoundError, PoleError
 from .special import Evaluation, complex_gamma, hurwitz_zeta_em, require_finite_result
 
@@ -52,11 +52,11 @@ def _require_nonprincipal(chi: DirichletCharacter):
         raise HypothesisError("modulus must be >= 3")
 
 
-def _require_even_primitive(chi: DirichletCharacter):
+def _require_even_primitive(chi: DirichletCharacter, allow_odd: bool = False):
     _require_nonprincipal(chi)
     if not chi.is_primitive:
         raise HypothesisError(f"character ({chi.modulus},{chi.index}) is not primitive")
-    if not chi.is_even:
+    if not chi.is_even and not allow_odd:
         raise HypothesisError(f"character ({chi.modulus},{chi.index}) is odd")
 
 
@@ -107,16 +107,6 @@ def completed_xi(s: complex, chi: DirichletCharacter, *, n_terms=None, pairs=Non
     return _xi_from_l(factor, l_function(s, chi, n_terms=n_terms, pairs=pairs))
 
 
-def _verify_positive_real_gauss(chi: DirichletCharacter):
-    k = chi.modulus
-    g = gauss_sum(chi)
-    if abs(g.imag) > 1e-9 * math.sqrt(k) or g.real <= 0.0:
-        raise HypothesisError(
-            f"root number of ({k},{chi.index}) is not +1 (G = {g!r}); "
-            "sign-change bracketing needs a real-valued xi on the critical line"
-        )
-
-
 def _illinois(f, a: float, fa: float, b: float, fb: float) -> float:
     """Shrink a sign-change bracket of f below _ZERO_BRACKET; return its midpoint.
 
@@ -151,16 +141,15 @@ def _illinois(f, a: float, fa: float, b: float, fb: float) -> float:
 def find_critical_zero(chi: DirichletCharacter, t_lo: float, t_hi: float) -> float:
     """Locate a zero of xi(1/2 + it, chi) in (t_lo, t_hi) by sign change.
 
-    Valid only for real, even, primitive chi with Gauss sum +sqrt(k), in
-    which case xi is real on the critical line.  The first sign change on
-    a grid of step 0.05 is refined by Illinois regula falsi to a bracket
-    narrower than 1e-13; the refined point must bring |xi| below 1e-6 of
-    its size at the grid bracket's ends.
+    Valid only for real, even, primitive chi, whose Gauss sum is +sqrt(k)
+    (Gauss), so xi is real on the critical line.  The first sign change
+    on a grid of step 0.05 is refined by Illinois regula falsi to a
+    bracket narrower than 1e-13; the refined point must bring |xi| below
+    1e-6 of its size at the grid bracket's ends.
     """
     _require_even_primitive(chi)
     if not chi.is_real:
         raise HypothesisError("zero finding requires a real character")
-    _verify_positive_real_gauss(chi)
     if not (0.0 < t_lo < t_hi <= 100.0):
         raise HypothesisError("need 0 < t_lo < t_hi <= 100")
 

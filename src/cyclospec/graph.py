@@ -56,13 +56,7 @@ class GraphLParams:
     def __post_init__(self):
         if self.n < 1:
             raise HypothesisError("n must be >= 1")
-        chi = self.chi
-        if chi.modulus < 3:
-            raise HypothesisError("modulus must be >= 3")
-        if not chi.is_primitive:
-            raise HypothesisError(f"character ({chi.modulus},{chi.index}) is not primitive")
-        if not chi.is_even and not self.allow_odd:
-            raise HypothesisError(f"character ({chi.modulus},{chi.index}) is odd")
+        _require_even_primitive(self.chi, allow_odd=self.allow_odd)
         object.__setattr__(self, "s", _require_finite(self.s))
 
 
@@ -246,7 +240,6 @@ class LaplacianSpectrum:
     """
 
     eigenvalues: tuple
-    cycle_size: int | None = None
     frequency_eigenvalues: tuple | None = None
 
     def __post_init__(self):
@@ -310,5 +303,5 @@ def cycle_spectrum(m: int) -> LaplacianSpectrum:
     row[0], row[1], row[-1] = 2.0, -1.0, -1.0
     freq = np.fft.fft(row).real
     freq[0] = 0.0
-    return LaplacianSpectrum(eigenvalues=tuple(np.sort(freq).tolist()), cycle_size=m,
+    return LaplacianSpectrum(eigenvalues=tuple(np.sort(freq).tolist()),
                              frequency_eigenvalues=tuple(freq[1:].tolist()))

@@ -20,7 +20,6 @@ from .errors import DomainError, PoleError, RangeError
 
 __all__ = [
     "Evaluation",
-    "kahan_sum",
     "complex_gamma",
     "hurwitz_zeta",
     "hurwitz_zeta_minus_pole",
@@ -28,7 +27,6 @@ __all__ = [
     "riemann_zeta",
     "binomial_series_coeff",
     "central_derivative",
-    "in_critical_strip",
 ]
 
 
@@ -51,22 +49,6 @@ def require_finite_result(value: complex, err: float, what: str) -> None:
     """Raise RangeError unless a computed value and its error bound are finite."""
     if not (math.isfinite(value.real) and math.isfinite(value.imag) and math.isfinite(err)):
         raise RangeError(f"{what} overflows")
-
-
-def in_critical_strip(s: complex) -> bool:
-    return 0.0 < complex(s).real < 1.0
-
-
-def kahan_sum(terms) -> complex:
-    """Compensated (Kahan) summation of complex terms."""
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for x in terms:
-        y = x - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
 
 
 # ---------------------------------------------------------------------------

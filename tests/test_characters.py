@@ -101,7 +101,10 @@ def test_gauss_sum_modulus_primitive():
     for k in range(3, 101):
         for chi in enumerate_characters(k):
             if chi.is_primitive:
-                assert abs(abs(gauss_sum(chi)) - math.sqrt(k)) <= 1e-9
+                g = gauss_sum(chi)
+                assert abs(abs(g) - math.sqrt(k)) <= 1e-9
+                if chi.is_real and chi.is_even:  # Gauss: tau(chi) = +sqrt(k)
+                    assert abs(g - math.sqrt(k)) <= 1e-9
 
 
 def test_gauss_sum_principal_mod4():

@@ -274,6 +274,7 @@ def test_bad_char_index_usage(capsys):
     "graph lg --modulus 5 --char-index 2 --cycle 20 --s 400,0",
     "graph lg --modulus 5 --char-index 2 --cycle 20 --s nan,0",
     "graph lg --modulus 5 --char-index 2 --cycle 20 --s 1.3e308,1.3e308",
+    "sums powers --modulus 5 --char-index 2 --m-range 7200,7200",
 ])
 def test_out_of_range_refused_exit_2(argv, capsys):
     code, out, err = run_capture(argv.split(), capsys)
