@@ -14,7 +14,6 @@ from .char_sums import (
     s_power_sum_range,
 )
 from .dirichlet import (
-    LValue,
     completed_xi,
     find_critical_zero,
     l_function,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -21,7 +22,6 @@ from .errors import HypothesisError, NoZeroFoundError, PoleError
 from .special import Evaluation, complex_gamma, hurwitz_zeta_em, require_finite_result
 
 __all__ = [
-    "LValue",
     "l_function",
     "completed_xi",
     "find_critical_zero",
@@ -35,14 +35,6 @@ _ZERO_GRID_STEP = 0.05
 _ZERO_BRACKET = 1e-13
 _ZERO_TOL = 1e-6  # relative to max |xi| at the grid bracket's ends
 _MIN_T_HYPOTHESIS = 8.0
-
-
-@dataclass(frozen=True)
-class LValue:
-    s: complex
-    chi_id: tuple  # (modulus, index)
-    value: complex
-    abs_error_estimate: float
 
 
 def _require_nonprincipal(chi: DirichletCharacter):
@@ -60,14 +52,22 @@ def _require_even_primitive(chi: DirichletCharacter, allow_odd: bool = False):
         raise HypothesisError(f"character ({chi.modulus},{chi.index}) is odd")
 
 
-def l_function(s: complex, chi: DirichletCharacter, *, n_terms=None, pairs=None) -> LValue:
+@lru_cache(maxsize=256)
+def _units(k: int):
+    """The units m mod k and the Hurwitz parameters m / k of L(s, chi) mod k."""
+    residues = [m for m in range(1, k) if gcd(m, k) == 1]
+    a = np.array(residues) / k
+    a.flags.writeable = False  # shared by every call
+    return residues, a
+
+
+def l_function(s: complex, chi: DirichletCharacter, *, n_terms=None, pairs=None) -> Evaluation:
     """Analytically continued L(s, chi) for non-principal chi, k >= 3."""
     _require_nonprincipal(chi)
     s = complex(s)
     k = chi.modulus
-    residues = [m for m in range(1, k) if gcd(m, k) == 1]
-    h, h_err = hurwitz_zeta_em(s, np.array(residues) / k, n_terms=n_terms, pairs=pairs,
-                               subtract_pole=True)
+    residues, a = _units(k)
+    h, h_err = hurwitz_zeta_em(s, a, n_terms=n_terms, pairs=pairs, subtract_pole=True)
     total = np.dot(np.array([chi.values[m] for m in residues]), h)
     with np.errstate(all="ignore"):
         scale = np.exp(-s * math.log(k))
@@ -75,8 +75,8 @@ def l_function(s: complex, chi: DirichletCharacter, *, n_terms=None, pairs=None)
         # k^{-s} carries the same |s| log k phase rounding as the Hurwitz terms
         err = float(abs(scale) * h_err.sum()
                     + (1e-16 * k + 4e-16 * abs(s) * math.log(k)) * abs(value))
-    require_finite_result(value, err, f"L({s!r}, chi)")
-    return LValue(s=s, chi_id=(k, chi.index), value=value, abs_error_estimate=err)
+    require_finite_result(value, err, "L({s!r}, chi)", s)
+    return Evaluation(value, err)
 
 
 def _gamma_factor(s: complex, k: int) -> Evaluation:
@@ -91,20 +91,20 @@ def _gamma_factor(s: complex, k: int) -> Evaluation:
     return Evaluation(pref * g.value, abs(pref) * g.abs_error_estimate)
 
 
-def _xi_from_l(factor: Evaluation, lv: LValue) -> LValue:
-    """xi = factor * L, factor = _gamma_factor(lv.s, k)."""
+def _xi_from_l(s: complex, factor: Evaluation, lv: Evaluation) -> Evaluation:
+    """xi = factor * L, with factor = _gamma_factor(s, k) and lv = L(s, chi)."""
     value = factor.value * lv.value
     err = abs(factor.value) * lv.abs_error_estimate + abs(lv.value) * factor.abs_error_estimate
-    require_finite_result(value, err, f"xi({lv.s!r}, chi)")
-    return LValue(s=lv.s, chi_id=lv.chi_id, value=value, abs_error_estimate=err)
+    require_finite_result(value, err, "xi({s!r}, chi)", s)
+    return Evaluation(value, err)
 
 
-def completed_xi(s: complex, chi: DirichletCharacter, *, n_terms=None, pairs=None) -> LValue:
+def completed_xi(s: complex, chi: DirichletCharacter, *, n_terms=None, pairs=None) -> Evaluation:
     """xi(s, chi) = (pi/k)^{-s/2} Gamma(s/2) L(s, chi) for primitive even chi."""
     _require_even_primitive(chi)
     s = complex(s)
     factor = _gamma_factor(s, chi.modulus)
-    return _xi_from_l(factor, l_function(s, chi, n_terms=n_terms, pairs=pairs))
+    return _xi_from_l(s, factor, l_function(s, chi, n_terms=n_terms, pairs=pairs))
 
 
 def _illinois(f, a: float, fa: float, b: float, fb: float) -> float:

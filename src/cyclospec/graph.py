@@ -16,7 +16,7 @@ import numpy as np
 from .characters import DirichletCharacter
 from .dirichlet import _gamma_factor, _require_even_primitive, _xi_from_l, l_function
 from .errors import DisconnectedGraphError, HypothesisError, RangeError
-from .special import Evaluation, _require_finite, require_finite_result
+from .special import Evaluation, _power_sum, _require_finite, require_finite_result
 
 __all__ = [
     "GraphLParams",
@@ -34,7 +34,9 @@ __all__ = [
 
 NEAR_ZERO_THRESHOLD = 1e-6  # |L(s,chi)| below this flags "near a zero of L"
 _RATIO_GUARD = 1e-14
-_SPECTRUM_ZERO_TOL = 1e-8
+# most vertices of a cycle (kn of L_n, m of cycle_spectrum); up to it the zero
+# tolerance 1/m^2 of nonzero() stays above the FFT's rounding of 4 (~6 ulps)
+_MAX_CYCLE = 1 << 22
 # error of log sin(pi j / kn) for pi j / kn <= pi/2: the rounded argument and
 # sine are each within an ulp or so, and x cot x <= 1 there
 _LOG_SIN_ERR = 5e-16
@@ -57,33 +59,9 @@ class GraphLParams:
         if self.n < 1:
             raise HypothesisError("n must be >= 1")
         _require_even_primitive(self.chi, allow_odd=self.allow_odd)
+        if self.chi.modulus * self.n > _MAX_CYCLE:
+            raise RangeError(f"kn = {self.chi.modulus * self.n} exceeds the cycle cap {_MAX_CYCLE}")
         object.__setattr__(self, "s", _require_finite(self.s))
-
-
-def _power_sum(weights, logs, s: complex, log_err, what: str) -> Evaluation:
-    """sum_j weights_j exp(-s logs_j), logs_j = log b_j, summed by numpy.
-
-    Terms of weight 0 are left out.  The error estimate adds, for each
-    term, the rounding of the pairwise sum and of the product (2 + log2 N
-    units in the last place), the phase rounding of exp(-s log b_j)
-    (|s| |log b_j| ulps, as in special.hurwitz_zeta_em) and |s| log_err_j,
-    where log_err (a scalar or one bound per term) bounds the error of
-    log b_j inherited from b_j.  Raises RangeError when a term, the total
-    or the error estimate is not finite.
-    """
-    keep = weights != 0.0
-    weights, logs = weights[keep], logs[keep]
-    log_err = log_err[keep] if np.ndim(log_err) else log_err
-    abs_s = math.hypot(s.real, s.imag)  # inf, where abs(s) raises, beyond the float range
-    with np.errstate(all="ignore"):
-        terms = weights * np.exp(-s * logs)
-        total = complex(terms.sum())
-        ulps = 2.0 + math.log2(max(terms.size, 1)) + abs_s * np.abs(logs)
-        err = float(np.abs(terms) @ (4e-16 * ulps + abs_s * log_err))
-    if not np.isfinite(terms).all():
-        raise RangeError(f"{what} overflows")
-    require_finite_result(total, err, what)
-    return Evaluation(total, err)
 
 
 def graph_l_n(p: GraphLParams) -> Evaluation:
@@ -100,8 +78,9 @@ def graph_l_n(p: GraphLParams) -> Evaluation:
     weights = values[j % k] + values[-j % k]
     if m % 2 == 0:
         weights[-1] = values[(m // 2) % k]
-    return _power_sum(weights, np.log(np.sin(np.pi * j / m)), p.s, _LOG_SIN_ERR,
-                      f"L_n({p.s!r}, chi)")
+    total, err = _power_sum(np.log(np.sin(np.pi * j / m)), p.s, weights, _LOG_SIN_ERR,
+                            "L_n({s!r}, chi)")
+    return Evaluation(complex(total), float(err))
 
 
 def _check_strip(s: complex):
@@ -120,7 +99,7 @@ def _xi_n(p: GraphLParams, factor: Evaluation) -> Evaluation:
     value = scale * factor.value * ln.value
     err = abs(scale) * (abs(factor.value) * ln.abs_error_estimate
                         + abs(ln.value) * factor.abs_error_estimate)
-    require_finite_result(value, err, f"xi_n({s!r}, chi)")
+    require_finite_result(value, err, "xi_n({s!r}, chi)", s)
     return Evaluation(value, err)
 
 
@@ -213,7 +192,7 @@ def ratio_experiment(chi: DirichletCharacter, s_grid, n_list):
         a_num = abs(_alpha(s, k, factor, l_function(s - 2.0, chi)).value)
         a_den = abs(_alpha(1.0 - s, k, factor_b, l_function(-1.0 - s, chib)).value)
         alpha_ratio = a_num / a_den if a_den > 0.0 else math.inf
-        two_xi = 2.0 * abs(_xi_from_l(factor, lv).value)
+        two_xi = 2.0 * abs(_xi_from_l(s, factor, lv).value)
         near = abs(lv.value) < NEAR_ZERO_THRESHOLD
         if n_list:
             _check_strip(s)
@@ -251,7 +230,10 @@ class LaplacianSpectrum:
         object.__setattr__(self, "eigenvalues", ev)
 
     def nonzero(self):
-        zeros = [x for x in self.eigenvalues if x <= _SPECTRUM_ZERO_TOL]
+        # a connected graph on m vertices has lambda_2 >= 4 / (m diam) > 4 / m^2
+        # (B. Mohar, Graphs Combin. 7, 1991), so 1/m^2 refuses none of them
+        tol = min(1e-8, 1.0 / len(self.eigenvalues) ** 2)
+        zeros = [x for x in self.eigenvalues if x <= tol]
         if len(zeros) != 1:
             raise DisconnectedGraphError(
                 f"expected exactly one zero eigenvalue, found {len(zeros)}"
@@ -286,7 +268,8 @@ def graph_l_general(spectrum: LaplacianSpectrum, chi: DirichletCharacter,
     # rounding of the FFT in cycle_spectrum (measured: at most 6.2 ulps up
     # to m = 262147)
     lam_err = 2.2e-16 * (2.0 + math.log2(lams.size + 1)) * lams.max(initial=0.0)
-    return _power_sum(weights, np.log(lams), s, lam_err / lams, f"L_G({s!r}, chi)")
+    total, err = _power_sum(np.log(lams), s, weights, lam_err / lams, "L_G({s!r}, chi)")
+    return Evaluation(complex(total), float(err))
 
 
 def cycle_spectrum(m: int) -> LaplacianSpectrum:
@@ -299,6 +282,8 @@ def cycle_spectrum(m: int) -> LaplacianSpectrum:
     """
     if m < 3:
         raise HypothesisError("cycle needs at least 3 vertices")
+    if m > _MAX_CYCLE:
+        raise RangeError(f"m = {m} exceeds the cycle cap {_MAX_CYCLE}")
     row = np.zeros(m)
     row[0], row[1], row[-1] = 2.0, -1.0, -1.0
     freq = np.fft.fft(row).real

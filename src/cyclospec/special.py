@@ -45,10 +45,40 @@ def _require_finite(s: complex) -> complex:
     return s
 
 
-def require_finite_result(value: complex, err: float, what: str) -> None:
-    """Raise RangeError unless a computed value and its error bound are finite."""
+def require_finite_result(value: complex, err: float, what: str, s: complex) -> None:
+    """RangeError unless value and err are finite; what is formatted with s on failure."""
     if not (math.isfinite(value.real) and math.isfinite(value.imag) and math.isfinite(err)):
-        raise RangeError(f"{what} overflows")
+        raise RangeError(what.format(s=s) + " overflows")
+
+
+def _require_finite_rows(total, err, what: str, s: complex) -> None:
+    """require_finite_result for arrays, in one test of total + err (err is >= 0)."""
+    if not np.isfinite(total + err).all():
+        raise RangeError(what.format(s=s) + " overflows")
+
+
+def _power_sum(logs, s: complex, weights, log_err, what: str):
+    """(totals, error bounds) of the rows of weights_j exp(-s logs_j), logs_j = log b_j.
+
+    The one kernel of the Hurwitz partial sums, L_n and L_G.  weights is one per
+    column (None for all 1); weight-0 columns are left out, so odd chi give 0.
+    A term's bound is |term| times 2 + log2 N ulps (the pairwise sum), |s| |log b_j|
+    ulps (the phase of exp) and |s| log_err_j, log_err (a scalar or one per column)
+    bounding the error of log b_j.  RangeError if a total or bound is not finite.
+    """
+    if weights is not None:
+        keep = weights != 0.0
+        weights, logs = weights.compress(keep), logs.compress(keep, axis=-1)
+        log_err = log_err.compress(keep) if np.ndim(log_err) else log_err
+    abs_s = math.hypot(s.real, s.imag)  # inf, where abs(s) raises, beyond the float range
+    with np.errstate(all="ignore"):
+        # weights first: with FMA, w * t and t * w can round differently
+        terms = np.exp(-s * logs) if weights is None else weights * np.exp(-s * logs)
+        total = terms.sum(axis=-1)
+        sum_err = 4e-16 * (2.0 + math.log2(max(logs.shape[-1], 1)))
+        err = (np.abs(terms) * (sum_err + abs_s * log_err + 4e-16 * abs_s * np.abs(logs))).sum(-1)
+    _require_finite_rows(total, err, what, s)
+    return total, err
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +125,7 @@ def complex_gamma(s: complex) -> Evaluation:
             val = _lanczos(s)
     except (OverflowError, ZeroDivisionError):
         raise RangeError(f"Gamma({s!r}) overflows") from None
-    require_finite_result(val, 0.0, f"Gamma({s!r})")
+    require_finite_result(val, 0.0, "Gamma({s!r})", s)
     return Evaluation(val, 5e-13 * abs(val))
 
 
@@ -125,12 +155,10 @@ def hurwitz_zeta_em(s: complex, a, *, n_terms=None, pairs=None,
     `a`.  With subtract_pole each value is zeta(s, a_i) - 1/(s-1), which
     is finite (and smooth) at s = 1.  Every a_i shares the partial-sum
     length N = max(20, 2|t|) and the Bernoulli-pair count, so the partial
-    sums form one (residue x term) grid and the Bernoulli corrections one
-    (residue x pair) product.  The error estimate is the first omitted
-    Bernoulli term plus the rounding of every summed term, whose phase
-    -t log(j+a) is off by up to |s| |log(j+a)| units in the last place.
-    Raises RangeError when a term, a value or an error estimate is not
-    finite.
+    sums form one (residue x term) grid, summed by _power_sum, and the
+    Bernoulli corrections one (residue x pair) product.  The error adds
+    to _power_sum's bound 1 + |s| log(N+a) ulps of the integral and
+    Bernoulli terms and the first omitted Bernoulli term.
     """
     s = _require_finite(s)
     a = np.asarray(a, dtype=float)
@@ -145,14 +173,9 @@ def hurwitz_zeta_em(s: complex, a, *, n_terms=None, pairs=None,
     if n * a.size > _MAX_GRID:
         raise RangeError(f"{n} terms x {a.size} residues exceeds {_MAX_GRID} cells")
 
-    col = a.reshape(-1, 1)
+    what = "Euler-Maclaurin sum at s = {s!r}"
+    total, err = _power_sum(np.log(np.arange(n) + a.reshape(-1, 1)), s, None, 0.0, what)
     with np.errstate(all="ignore"):
-        logs = np.log(np.arange(n) + col)
-        terms = np.exp(-s * logs)
-        total = terms.sum(axis=1)
-        # rounding: the phase -t log(j+a) of a term is off by up to |s| |log(j+a)| ulps
-        rounding = (np.abs(terms) * (1.0 + abs(s) * np.abs(logs))).sum(axis=1)
-
         base = n + a.ravel()
         lb = np.log(base)
         pw = np.exp(-s * lb)  # base^{-s}
@@ -176,14 +199,12 @@ def hurwitz_zeta_em(s: complex, a, *, n_terms=None, pairs=None,
         bern = (_EM_COEFF[:m + 1] * poch) * cur
         total += bern[:, :m].sum(axis=1)
         tail_abs += np.abs(bern[:, :m]).sum(axis=1)
-        rounding += (1.0 + abs(s) * lb) * tail_abs
 
         # remainder bound: first omitted Bernoulli term times a safety factor
         denom = s.real + 2 * m + 1
         factor = abs(s + 2 * m + 1) / denom if denom > 0 else 10.0
-        err = np.abs(bern[:, m]) * max(1.0, factor) + 4e-16 * rounding
-    if not (np.isfinite(total).all() and np.isfinite(err).all()):
-        raise RangeError(f"Euler-Maclaurin sum overflows at s = {s!r}")
+        err += np.abs(bern[:, m]) * max(1.0, factor) + 4e-16 * (1.0 + abs(s) * lb) * tail_abs
+    _require_finite_rows(total, err, what, s)
     return total.reshape(a.shape), err.reshape(a.shape)
 
 

@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import math
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -241,6 +243,23 @@ def test_graph_lg_cycle_and_file(tmp_path, capsys):
     assert abs(r1["lg_im"] - r2["lg_im"]) < 1e-9
 
 
+def test_graph_lg_large_cycle_is_connected(capsys):
+    # lambda_2 of C_63000 is 4 sin^2(pi / 63000) ~ 9.9e-9, below the old
+    # absolute zero tolerance of 1e-8, which counted three zero eigenvalues
+    m, s = 63000, complex(0.4, 3)
+    code, out, err = run_capture(
+        ["graph", "lg", "--modulus", "5", "--char-index", "2", "--cycle", str(m),
+         "--s", "0.4,3", "--format", "json"], capsys)
+    assert code == 0, err
+    row = json.loads(out)
+    # closed form: ascending eigenvalues 4 sin^2(pi j / m), weighted by chi(rank)
+    j = np.arange(1, m)
+    lams = np.sort(4.0 * np.sin(np.pi * j / m) ** 2)
+    chi = np.array([0.0, 1.0, -1.0, -1.0, 1.0])[j % 5]
+    want = complex(np.sum(chi * lams ** -s))
+    assert abs(complex(row["lg_re"], row["lg_im"]) - want) <= row["abs_error"]
+
+
 def test_graph_lg_requires_one_source(capsys):
     code, _, _ = run_capture(
         ["graph", "lg", "--modulus", "5", "--char-index", "2", "--s", "0.4,3"],
@@ -275,6 +294,11 @@ def test_bad_char_index_usage(capsys):
     "graph lg --modulus 5 --char-index 2 --cycle 20 --s nan,0",
     "graph lg --modulus 5 --char-index 2 --cycle 20 --s 1.3e308,1.3e308",
     "sums powers --modulus 5 --char-index 2 --m-range 7200,7200",
+    # work caps: kn and m at most 2^22, refused before anything is allocated
+    "ln eval --modulus 5 --char-index 2 --n 838861 --s 0.5,3",
+    "ln eval --modulus 5 --char-index 2 --n 100000000 --s 0.5,3",
+    "graph lg --modulus 5 --char-index 2 --cycle 4194305 --s 0.5,3",
+    "graph lg --modulus 5 --char-index 2 --cycle 50000000 --s 0.5,3",
 ])
 def test_out_of_range_refused_exit_2(argv, capsys):
     code, out, err = run_capture(argv.split(), capsys)
@@ -335,7 +359,49 @@ def test_eval_never_raises_and_exit_0_is_finite(cmd, modulus, index, n, m, order
 # dispatch coverage
 # ---------------------------------------------------------------------------
 
-def test_every_operation_has_exactly_one_subcommand():
+# one argv per command, each expected to exit 0
+_ONE_ARGV = {
+    ("characters",): "characters --modulus 5",
+    ("l", "eval"): "l eval --modulus 5 --char-index 2 --s 0.5,14",
+    ("l", "zeros"): "l zeros --modulus 5 --char-index 2 --range 0.1,10",
+    ("l", "monotonicity"): "l monotonicity --modulus 5 --char-index 2 --t 10 --sigma-step 0.25",
+    ("ln", "eval"): "ln eval --modulus 5 --char-index 2 --n 4 --s 0.5,3",
+    ("ln", "prop1"): "ln prop1 --modulus 5 --char-index 2 --s 0.75,9 --n-list 8,16",
+    ("ln", "ratio"): "ln ratio --modulus 5 --char-index 2 --sigma-range 0.4,0.4,0.1 "
+                     "--t-range 10,10,1 --n-list 4",
+    ("sums", "powers"): "sums powers --modulus 5 --char-index 2 --m-range 2,4",
+    ("sums", "faulhaber"): "sums faulhaber --modulus 5 --char-index 2 --n 2 --m 6",
+    ("sums", "cos-scan"): "sums cos-scan --modulus 5 --char-index 2 --n 1 --m-max 10",
+    ("sums", "corollary5"): "sums corollary5 --modulus 5 --char-index 2 --s 0.5 --n-list 16",
+    ("graph", "lg"): "graph lg --modulus 5 --char-index 2 --cycle 20 --s 0.4,3",
+}
+
+# exported operations that no command calls
+_LIBRARY_ONLY = {"alpha", "xi_ratio", "conductor", "s_power_sum", "corollary6_check"}
+
+
+def _spy_on(names, monkeypatch):
+    """Record the name of every listed library function a command calls,
+    through whichever cyclospec module it is looked up in."""
+    called = set()
+
+    def recorder(name, fn):
+        def spy(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return spy
+
+    modules = [m for key, m in list(sys.modules.items())
+               if key == "cyclospec" or key.startswith("cyclospec.")]
+    for name in names:
+        fn = getattr(cyclospec, name)
+        for module in modules:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, recorder(name, fn))
+    return called
+
+
+def test_every_operation_has_exactly_one_subcommand(monkeypatch):
     ops = {
         "enumerate_characters", "conductor", "gauss_sum",
         "l_function", "completed_xi", "find_critical_zero",
@@ -345,7 +411,14 @@ def test_every_operation_has_exactly_one_subcommand():
         "s_power_sum", "s_power_sum_range", "faulhaber_rhs",
         "corollary6_check", "cos_power_sum", "cos_scan", "corollary5_scan",
     }
-    assert set(OPERATION_SUBCOMMANDS) == ops
-    for op, key in OPERATION_SUBCOMMANDS.items():
-        assert key in DISPATCH, f"{op} mapped to unknown subcommand {key}"
-        assert hasattr(cyclospec, op)
+    assert set(_ONE_ARGV) == set(DISPATCH)
+    assert set(OPERATION_SUBCOMMANDS) | _LIBRARY_ONLY == ops
+    assert not _LIBRARY_ONLY & set(OPERATION_SUBCOMMANDS)
+    called = _spy_on(set(OPERATION_SUBCOMMANDS) | _LIBRARY_ONLY, monkeypatch)
+    for key, argv in _ONE_ARGV.items():
+        called.clear()
+        code, _ = _run_quiet(argv.split())
+        assert code == 0, argv
+        wanted = {op for op, k in OPERATION_SUBCOMMANDS.items() if k == key}
+        assert wanted <= called, f"{argv} never calls {sorted(wanted - called)}"
+        assert not called & _LIBRARY_ONLY, f"{argv} calls {sorted(called & _LIBRARY_ONLY)}"
