@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -52,22 +51,14 @@ def _require_even_primitive(chi: DirichletCharacter, allow_odd: bool = False):
         raise HypothesisError(f"character ({chi.modulus},{chi.index}) is odd")
 
 
-@lru_cache(maxsize=256)
-def _units(k: int):
-    """The units m mod k and the Hurwitz parameters m / k of L(s, chi) mod k."""
-    residues = [m for m in range(1, k) if gcd(m, k) == 1]
-    a = np.array(residues) / k
-    a.flags.writeable = False  # shared by every call
-    return residues, a
-
-
 def l_function(s: complex, chi: DirichletCharacter, *, n_terms=None, pairs=None) -> Evaluation:
     """Analytically continued L(s, chi) for non-principal chi, k >= 3."""
     _require_nonprincipal(chi)
     s = complex(s)
     k = chi.modulus
-    residues, a = _units(k)
-    h, h_err = hurwitz_zeta_em(s, a, n_terms=n_terms, pairs=pairs, subtract_pole=True)
+    residues = [m for m in range(1, k) if gcd(m, k) == 1]
+    h, h_err = hurwitz_zeta_em(s, np.array(residues) / k, n_terms=n_terms, pairs=pairs,
+                               subtract_pole=True)
     total = np.dot(np.array([chi.values[m] for m in residues]), h)
     with np.errstate(all="ignore"):
         scale = np.exp(-s * math.log(k))

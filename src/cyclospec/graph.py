@@ -34,8 +34,8 @@ __all__ = [
 
 NEAR_ZERO_THRESHOLD = 1e-6  # |L(s,chi)| below this flags "near a zero of L"
 _RATIO_GUARD = 1e-14
-# most vertices of a cycle (kn of L_n, m of cycle_spectrum); up to it the zero
-# tolerance 1/m^2 of nonzero() stays above the FFT's rounding of 4 (~6 ulps)
+# most vertices of a cycle (kn of L_n, m of cycle_spectrum), a memory bound:
+# graph lg --cycle 2^22 peaks at about 715 MB
 _MAX_CYCLE = 1 << 22
 # error of log sin(pi j / kn) for pi j / kn <= pi/2: the rounded argument and
 # sine are each within an ulp or so, and x cot x <= 1 there
@@ -232,7 +232,7 @@ class LaplacianSpectrum:
     def nonzero(self):
         # a connected graph on m vertices has lambda_2 >= 4 / (m diam) > 4 / m^2
         # (B. Mohar, Graphs Combin. 7, 1991), so 1/m^2 refuses none of them
-        tol = min(1e-8, 1.0 / len(self.eigenvalues) ** 2)
+        tol = min(1e-8, 1.0 / max(len(self.eigenvalues), 1) ** 2)
         zeros = [x for x in self.eigenvalues if x <= tol]
         if len(zeros) != 1:
             raise DisconnectedGraphError(

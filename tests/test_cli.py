@@ -39,13 +39,22 @@ def test_missing_subcommand_usage(capsys):
     assert code == 1
 
 
-def test_hypothesis_violation_exit_2(capsys):
+def test_hypothesis_violation_exit_2(tmp_path, capsys):
     # char index 1 mod 5 is odd: ln eval must refuse with a diagnostic
     code, _, err = run_capture(
         ["ln", "eval", "--modulus", "5", "--char-index", "1", "--n", "4", "--s", "0.5,0"],
         capsys)
     assert code == 2
     assert "odd" in err
+    # a blank spectrum file has no zero eigenvalue
+    spectrum = tmp_path / "blank.txt"
+    spectrum.write_text("\n  \n")
+    code, out, err = run_capture(
+        ["graph", "lg", "--modulus", "5", "--char-index", "2",
+         "--spectrum-file", str(spectrum), "--s", "0.4,3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "found 0" in err
 
 
 def test_pole_exit_2(capsys):
@@ -412,6 +421,7 @@ def test_every_operation_has_exactly_one_subcommand(monkeypatch):
         "corollary6_check", "cos_power_sum", "cos_scan", "corollary5_scan",
     }
     assert set(_ONE_ARGV) == set(DISPATCH)
+    assert set(OPERATION_SUBCOMMANDS.values()) <= set(DISPATCH)
     assert set(OPERATION_SUBCOMMANDS) | _LIBRARY_ONLY == ops
     assert not _LIBRARY_ONLY & set(OPERATION_SUBCOMMANDS)
     called = _spy_on(set(OPERATION_SUBCOMMANDS) | _LIBRARY_ONLY, monkeypatch)
