@@ -3,7 +3,7 @@
 S(m, chi) sums are kept in arbitrary-precision integers: the sign claims
 are exact statements and must never pass through floating point.  The
 cosine power sums and the twisted Faulhaber right-hand side are floating
-point with compensated summation.
+point; the cosine sums are rounded once, by math.fsum.
 """
 
 from __future__ import annotations
@@ -128,24 +128,17 @@ def corollary6_check(chi: DirichletCharacter, large_m_samples=None):
 
 
 def cos_power_sum(m: int, chi: DirichletCharacter, n: int) -> Evaluation:
-    """T(m) = sum_{j=1}^{kn-1} chi(j) cos^{2m}(pi j / kn), compensated."""
+    """T(m) = sum_{j=1}^{kn-1} chi(j) cos^{2m}(pi j / kn), summed by math.fsum."""
     _require_even_real_primitive(chi)
     if m < 0:
         raise HypothesisError("m must be nonnegative")
     if n < 1:
         raise HypothesisError("n must be >= 1")
-    kn = chi.modulus * n
-    total = 0.0
-    comp = 0.0
-    for j in range(1, kn):
-        c = chi.int_value(j)
-        if c == 0:
-            continue
-        term = c * math.cos(math.pi * j / kn) ** (2 * m)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+    k = chi.modulus
+    kn = k * n
+    ints = [chi.int_value(j) for j in range(k)]
+    total = math.fsum([ints[j % k] * math.cos(math.pi * j / kn) ** (2 * m)
+                       for j in range(1, kn) if ints[j % k]])
     return Evaluation(complex(total), 4e-16 * kn)
 
 
@@ -212,19 +205,15 @@ def binomial_expansion_check(chi: DirichletCharacter, n: int, s: float,
     half = s / 2.0
     a = 1.0  # a_0
     powers = [1.0] * len(cos2)
-    total = 0.0
-    comp = 0.0
+    terms = []
     for m in range(1, m_terms + 1):
         a *= (half + m - 1) / m
         t_m = 0.0
         for i, w in enumerate(weights):
             powers[i] *= cos2[i]
             t_m += w * powers[i]
-        term = a * t_m
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+        terms.append(a * t_m)
+    total = math.fsum(terms)
 
     x = math.cos(math.pi / kn) ** 2
     xp = x ** (m_terms + 1)

@@ -339,10 +339,18 @@ def cmd_graph_lg(args):
     else:
         try:
             with open(args.spectrum_file) as fh:
-                eigs = sorted(float(line) for line in fh if line.strip())
-        except OSError as exc:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {args.spectrum_file}: {exc}") from None
-        spectrum = gr.LaplacianSpectrum(eigenvalues=tuple(eigs))
+        eigs = []
+        for number, line in enumerate(lines, start=1):
+            try:
+                if line.strip():
+                    eigs.append(float(line))
+            except ValueError:
+                raise UsageError(f"{args.spectrum_file}, line {number}: expected a number, "
+                                 f"got {line.strip()!r}") from None
+        spectrum = gr.LaplacianSpectrum(eigenvalues=sorted(eigs))
     ev = gr.graph_l_general(spectrum, chi, s, ordering=args.ordering)
     return [{
         "modulus": chi.modulus, "char_index": chi.index,

@@ -35,11 +35,16 @@ __all__ = [
 NEAR_ZERO_THRESHOLD = 1e-6  # |L(s,chi)| below this flags "near a zero of L"
 _RATIO_GUARD = 1e-14
 # most vertices of a cycle (kn of L_n, m of cycle_spectrum), a memory bound:
-# graph lg --cycle 2^22 peaks at about 715 MB
+# graph lg --cycle 2^22 peaks at about 400 MB
 _MAX_CYCLE = 1 << 22
 # error of log sin(pi j / kn) for pi j / kn <= pi/2: the rounded argument and
 # sine are each within an ulp or so, and x cot x <= 1 there
 _LOG_SIN_ERR = 5e-16
+# relative error of a cycle eigenvalue 4 sin^2(pi i / m), i = min(j, m - j), in
+# u = 2^-53: the argument rounds pi, pi i and the quotient (2.4 u); sin carries
+# that with factor x cot x <= 1 on (0, pi/2] and adds 1 ulp (2 u); the square
+# doubles the 4.4 u and rounds: 9.8 u = 1.1e-15 (6.2 u measured against mpmath)
+_EIGEN_ERR = 1.5e-15
 
 
 @dataclass(frozen=True)
@@ -210,33 +215,38 @@ def ratio_experiment(chi: DirichletCharacter, s_grid, n_list):
 # General finite graphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaplacianSpectrum:
     """Eigenvalues of a combinatorial Laplacian, sorted ascending.
 
-    frequency_eigenvalues is populated for cycle spectra: the nonzero
-    eigenvalues arranged as 4 sin^2(pi j / m), j = 1..m-1.
+    Both fields are read-only float64 arrays (copies of what was passed), so
+    == is identity.  frequency_eigenvalues, for cycle spectra only, holds the
+    nonzero eigenvalues as 4 sin^2(pi j / m), j = 1..m-1.
     """
 
-    eigenvalues: tuple
-    frequency_eigenvalues: tuple | None = None
+    eigenvalues: np.ndarray
+    frequency_eigenvalues: np.ndarray | None = None
 
     def __post_init__(self):
-        ev = tuple(float(x) for x in self.eigenvalues)
-        if any(x < 0.0 for x in ev):
-            raise HypothesisError("Laplacian eigenvalues must be nonnegative")
-        if any(b < a for a, b in zip(ev, ev[1:])):
+        for name in ("eigenvalues", "frequency_eigenvalues"):
+            if getattr(self, name) is None:
+                continue
+            lams = np.array(getattr(self, name), dtype=np.float64)
+            lams.flags.writeable = False
+            if not (np.isfinite(lams).all() and (lams >= 0.0).all()):
+                raise HypothesisError("Laplacian eigenvalues must be finite and nonnegative")
+            object.__setattr__(self, name, lams)
+        if (self.eigenvalues[1:] < self.eigenvalues[:-1]).any():
             raise HypothesisError("eigenvalues must be sorted ascending")
-        object.__setattr__(self, "eigenvalues", ev)
 
     def nonzero(self):
         # a connected graph on m vertices has lambda_2 >= 4 / (m diam) > 4 / m^2
         # (B. Mohar, Graphs Combin. 7, 1991), so 1/m^2 refuses none of them
-        tol = min(1e-8, 1.0 / max(len(self.eigenvalues), 1) ** 2)
-        zeros = [x for x in self.eigenvalues if x <= tol]
-        if len(zeros) != 1:
+        tol = min(1e-8, 1.0 / max(self.eigenvalues.size, 1) ** 2)
+        zeros = np.count_nonzero(self.eigenvalues <= tol)
+        if zeros != 1:
             raise DisconnectedGraphError(
-                f"expected exactly one zero eigenvalue, found {len(zeros)}"
+                f"expected exactly one zero eigenvalue, found {zeros}"
             )
         return self.eigenvalues[1:]
 
@@ -261,32 +271,26 @@ def graph_l_general(spectrum: LaplacianSpectrum, chi: DirichletCharacter,
         lams = spectrum.frequency_eigenvalues
     else:
         raise HypothesisError(f"unknown ordering {ordering!r}")
-    lams = np.asarray(lams)
     j = np.arange(1, lams.size + 1)
     weights = np.asarray(chi.values)[j % chi.modulus]
-    # each eigenvalue is trusted to (2 + log2 m) ulps of the largest, the
-    # rounding of the FFT in cycle_spectrum (measured: at most 6.2 ulps up
-    # to m = 262147)
-    lam_err = 2.2e-16 * (2.0 + math.log2(lams.size + 1)) * lams.max(initial=0.0)
-    total, err = _power_sum(np.log(lams), s, weights, lam_err / lams, "L_G({s!r}, chi)")
+    total, err = _power_sum(np.log(lams), s, weights, _EIGEN_ERR, "L_G({s!r}, chi)")
     return Evaluation(complex(total), float(err))
 
 
 def cycle_spectrum(m: int) -> LaplacianSpectrum:
-    """Full Laplacian spectrum of the cycle C_m, computed by FFT.
+    """Full Laplacian spectrum of the cycle C_m, in closed form.
 
-    The Laplacian of C_m is circulant, so the DFT of its first row
-    (2, -1, 0, ..., 0, -1) is its spectrum, already in frequency order
-    4 sin^2(pi j / m) (P. J. Davis, Circulant Matrices, 1979); callers
-    cross-check against that closed form.
+    The Laplacian of C_m is circulant with first row (2, -1, 0, ..., 0, -1),
+    so its eigenvalues are 4 sin^2(pi j / m), j = 0..m-1 (P. J. Davis,
+    Circulant Matrices, 1979).  sin(pi (m - j) / m) = sin(pi j / m), so
+    each is computed at min(j, m - j), keeping the sine argument in
+    (0, pi/2] as graph_l_n does; _EIGEN_ERR bounds their relative error.
     """
     if m < 3:
         raise HypothesisError("cycle needs at least 3 vertices")
     if m > _MAX_CYCLE:
         raise RangeError(f"m = {m} exceeds the cycle cap {_MAX_CYCLE}")
-    row = np.zeros(m)
-    row[0], row[1], row[-1] = 2.0, -1.0, -1.0
-    freq = np.fft.fft(row).real
-    freq[0] = 0.0
-    return LaplacianSpectrum(eigenvalues=tuple(np.sort(freq).tolist()),
-                             frequency_eigenvalues=tuple(freq[1:].tolist()))
+    j = np.arange(1, m)
+    freq = 4.0 * np.sin(np.pi * np.minimum(j, m - j) / m) ** 2
+    return LaplacianSpectrum(eigenvalues=np.concatenate(([0.0], np.sort(freq))),
+                             frequency_eigenvalues=freq)

@@ -65,20 +65,19 @@ def _power_sum(logs, s: complex, weights, log_err, what: str):
     and skips the multiply, a fast path for the Hurwitz grid (l_function is
     about 10 % slower per call with unit weights).
     A term's bound is |term| times 2 + log2 N ulps (the pairwise sum), |s| |log b_j|
-    ulps (the phase of exp) and |s| log_err_j, log_err (a scalar or one per column)
-    bounding the error of log b_j.  RangeError if a total or bound is not finite.
+    ulps (the phase of exp) and |s| log_err, log_err bounding the error of every
+    log b_j.  RangeError if a total or bound is not finite.
     """
     if weights is not None:
         keep = weights != 0.0
         weights, logs = weights.compress(keep), logs.compress(keep, axis=-1)
-        log_err = log_err.compress(keep) if np.ndim(log_err) else log_err
     abs_s = math.hypot(s.real, s.imag)  # inf, where abs(s) raises, beyond the float range
     with np.errstate(all="ignore"):
         terms = np.exp(-s * logs) if weights is None else weights * np.exp(-s * logs)
         total = terms.sum(axis=-1)
         sum_err = 4e-16 * (2.0 + math.log2(max(logs.shape[-1], 1)))
         err = (np.abs(terms) * (sum_err + abs_s * log_err + 4e-16 * abs_s * np.abs(logs))).sum(-1)
-    _require_finite_rows(total, err, what, s)
+        _require_finite_rows(total, err, what, s)
     return total, err
 
 
@@ -205,7 +204,7 @@ def hurwitz_zeta_em(s: complex, a, *, n_terms=None, pairs=None,
         denom = s.real + 2 * m + 1
         factor = abs(s + 2 * m + 1) / denom if denom > 0 else 10.0
         err += np.abs(bern[:, m]) * max(1.0, factor) + 4e-16 * (1.0 + abs(s) * lb) * tail_abs
-    _require_finite_rows(total, err, what, s)
+        _require_finite_rows(total, err, what, s)
     return total.reshape(a.shape), err.reshape(a.shape)
 
 

@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -39,6 +41,14 @@ def test_missing_subcommand_usage(capsys):
     assert code == 1
 
 
+def _graph_lg_file(tmp_path, text, capsys):
+    spectrum = tmp_path / "spec.txt"
+    spectrum.write_text(text)
+    return run_capture(["graph", "lg", "--modulus", "5", "--char-index", "2",
+                        "--spectrum-file", str(spectrum), "--s", "0.4,3"], capsys)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would reach stderr
 def test_hypothesis_violation_exit_2(tmp_path, capsys):
     # char index 1 mod 5 is odd: ln eval must refuse with a diagnostic
     code, _, err = run_capture(
@@ -46,15 +56,21 @@ def test_hypothesis_violation_exit_2(tmp_path, capsys):
         capsys)
     assert code == 2
     assert "odd" in err
-    # a blank spectrum file has no zero eigenvalue
-    spectrum = tmp_path / "blank.txt"
-    spectrum.write_text("\n  \n")
-    code, out, err = run_capture(
-        ["graph", "lg", "--modulus", "5", "--char-index", "2",
-         "--spectrum-file", str(spectrum), "--s", "0.4,3"], capsys)
-    assert code == 2
+    # a blank spectrum file has no zero eigenvalue; nan and inf are no eigenvalues
+    for text, reason in (("\n  \n", "found 0"), ("0\n2\nnan\n3\n", "finite"),
+                         ("0\n2\ninf\n3\n", "finite"), ("-inf\n0\n2\n", "finite")):
+        code, out, err = _graph_lg_file(tmp_path, text, capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and reason in err, (text, err)
+
+
+def test_spectrum_file_bad_line_usage(tmp_path, capsys):
+    code, out, err = _graph_lg_file(tmp_path, "0\n2\n\nabc\n3\n", capsys)
+    assert code == 1
     assert out == ""
-    assert len(err.splitlines()) == 1 and "found 0" in err
+    assert err == f"cyclospec: usage error: {tmp_path / 'spec.txt'}, line 4: " \
+                  "expected a number, got 'abc'\n"
 
 
 def test_pole_exit_2(capsys):
@@ -261,9 +277,10 @@ def test_graph_lg_large_cycle_is_connected(capsys):
          "--s", "0.4,3", "--format", "json"], capsys)
     assert code == 0, err
     row = json.loads(out)
-    # closed form: ascending eigenvalues 4 sin^2(pi j / m), weighted by chi(rank)
+    # closed form: ascending eigenvalues 4 sin^2(pi j / m), weighted by chi(rank),
+    # with j folded to min(j, m - j): sin near pi loses digits (7.8e-8 here)
     j = np.arange(1, m)
-    lams = np.sort(4.0 * np.sin(np.pi * j / m) ** 2)
+    lams = np.sort(4.0 * np.sin(np.pi * np.minimum(j, m - j) / m) ** 2)
     chi = np.array([0.0, 1.0, -1.0, -1.0, 1.0])[j % 5]
     want = complex(np.sum(chi * lams ** -s))
     assert abs(complex(row["lg_re"], row["lg_im"]) - want) <= row["abs_error"]
@@ -330,8 +347,17 @@ def _float_cell(cell):
         return None
 
 
-@settings(max_examples=200, deadline=None)
-@given(cmd=st.sampled_from(["l eval", "ln eval", "graph lg", "ln ratio"]),
+# spectrum-file lines: numbers (with nan, inf and negatives), blanks and garbage,
+# in any order
+_SPECTRUM_LINE = st.one_of(
+    st.just("0"), st.floats(min_value=0.0, max_value=10.0).map(repr), st.floats().map(repr),
+    st.sampled_from(["", "  ", "nan", "inf", "-inf", "-1", "1e400", "abc", "1,2", "0x10"]),
+    st.text(alphabet="0123456789.-+eEinfa x", max_size=6))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # nor a numpy warning on stderr
+@settings(max_examples=250, deadline=None)
+@given(cmd=st.sampled_from(["l eval", "ln eval", "graph lg", "graph lg file", "ln ratio"]),
        modulus=st.integers(min_value=3, max_value=30),
        index=st.integers(min_value=0, max_value=12),
        n=st.integers(min_value=1, max_value=40),
@@ -339,10 +365,14 @@ def _float_cell(cell):
        ordering=st.sampled_from(["ascending", "frequency"]),
        re=st.one_of(st.floats(), st.floats(min_value=-400.0, max_value=400.0),
                     st.floats(min_value=0.0, max_value=1.0)),
-       im=st.one_of(st.floats(), st.floats(min_value=-120.0, max_value=120.0)))
-def test_eval_never_raises_and_exit_0_is_finite(cmd, modulus, index, n, m, ordering, re, im):
-    # l eval, ln eval, graph lg --cycle m and a one-point ln ratio sweep
-    argv = [*cmd.split(), "--modulus", str(modulus), "--char-index", str(index)]
+       im=st.one_of(st.floats(), st.floats(min_value=-120.0, max_value=120.0)),
+       lines=st.lists(_SPECTRUM_LINE, max_size=8))
+def test_eval_never_raises_and_exit_0_is_finite(cmd, modulus, index, n, m, ordering, re, im,
+                                                lines):
+    # l eval, ln eval, graph lg --cycle m, graph lg --spectrum-file with the drawn
+    # lines and a one-point ln ratio sweep
+    argv = ["graph", "lg"] if cmd == "graph lg file" else cmd.split()
+    argv += ["--modulus", str(modulus), "--char-index", str(index)]
     if cmd == "ln ratio":
         argv += [f"--sigma-range={re!r},{re!r},0.25", f"--t-range={im!r},{im!r},1",
                  "--n-list", f"{n},{2 * n}"]
@@ -352,7 +382,13 @@ def test_eval_never_raises_and_exit_0_is_finite(cmd, modulus, index, n, m, order
         argv += ["--n", str(n)]
     if cmd == "graph lg":
         argv += ["--cycle", str(m), "--ordering", ordering]
-    code, out = _run_quiet(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        if cmd == "graph lg file":
+            spectrum = os.path.join(tmp, "spec.txt")
+            with open(spectrum, "w") as fh:
+                fh.write("".join(line + "\n" for line in lines))
+            argv += ["--spectrum-file", spectrum, "--ordering", ordering]
+        code, out = _run_quiet(argv)
     assert code in (0, 1, 2)
     if code == 0:
         header, *rows = out.splitlines()

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import mpmath
 import pytest
@@ -21,6 +22,7 @@ from cyclospec import (
     xi_ratio,
 )
 from cyclospec.errors import DisconnectedGraphError, HypothesisError, PoleError
+from cyclospec.graph import _EIGEN_ERR
 
 
 def quad_char(k):
@@ -304,21 +306,43 @@ def test_general_graph_cycle_consistency():
 
 
 def test_general_graph_error_estimate_bounds_mpmath():
-    # the exact spectrum 4 sin^2(pi j / m) at 40 digits against the FFT one;
-    # the estimate must cover the eigenvalues' rounding as well as the sum's
+    # the exact spectrum 4 sin^2(pi j / m) at 40 digits against the closed-form
+    # one; the estimate must cover the eigenvalues' rounding as well as the sum's.
+    # At m = 20000, lambda_2 / lambda_max = 2.5e-8, so error taken in ulps of the
+    # largest eigenvalue would claim about 1e-6 |L_G|; the claim must stay within
+    # 1e-11 |L_G| there
     failures = []
     with mpmath.workdps(40):
-        for chi in (CHI5, quad_char(13)):
-            for m, s in ((700, 0.9 + 5j), (700, 0.5 + 40j), (450, 0.5)):
-                exact = [4 * mpmath.sin(mpmath.pi * j / m) ** 2 for j in range(1, m)]
-                spectrum = cycle_spectrum(m)
+        for m, s in ((700, 0.9 + 5j), (700, 0.5 + 40j), (450, 0.5), (20000, 0.4 + 3j)):
+            exact = [4 * mpmath.sin(mpmath.pi * j / m) ** 2 for j in range(1, m)]
+            spectrum = cycle_spectrum(m)
+            for chi in (CHI5, quad_char(13)) if m < 20000 else (CHI5,):
                 for ordering, lams in (("frequency", exact), ("ascending", sorted(exact))):
                     oracle = complex(mpmath.fsum(
                         mpmath.mpc(chi(j)) * mpmath.power(lam, -mpmath.mpc(s))
                         for j, lam in enumerate(lams, start=1) if chi(j) != 0))
                     ev = graph_l_general(spectrum, chi, s, ordering=ordering)
-                    if abs(ev.value - oracle) > ev.abs_error_estimate:
+                    if abs(ev.value - oracle) > ev.abs_error_estimate or (
+                            m == 20000 and ev.abs_error_estimate > 1e-11 * abs(oracle)):
                         failures.append((chi.modulus, m, s, ordering))
+    assert not failures
+
+
+def test_cycle_eigenvalues_relative_error_mpmath():
+    # every sampled 4 sin^2(pi j / m) within _EIGEN_ERR of its 40-digit value,
+    # near j = 1, m/2 and m - 1, where folding matters most, and at random j
+    rng = random.Random(5)
+    failures = []
+    with mpmath.workdps(40):
+        for m in (3, 4, 7, 1000, 63000, 1000001, 1 << 22):
+            freq = cycle_spectrum(m).frequency_eigenvalues
+            js = {*range(1, min(m, 40)), *range(max(1, m - 40), m),
+                  *range(max(1, m // 2 - 40), min(m, m // 2 + 40)),
+                  *(rng.randrange(1, m) for _ in range(200))}
+            for j in js:
+                exact = 4 * mpmath.sin(mpmath.pi * j / m) ** 2
+                if abs(freq[j - 1] - exact) > _EIGEN_ERR * exact:
+                    failures.append((m, j))
     assert not failures
 
 
