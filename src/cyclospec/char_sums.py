@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .characters import DirichletCharacter
 from .dirichlet import _require_even_primitive, l_function
@@ -49,6 +52,11 @@ def _require_even_real_primitive(chi: DirichletCharacter):
     _require_even_primitive(chi)
 
 
+def _int_table(chi: DirichletCharacter) -> list:
+    """chi(j) for j = 0..k-1 as exact ints: 1 at log 0, -1 at log e/2, 0 off the units."""
+    return [0 if a < 0 else 1 if a == 0 else -1 for a in chi.logs.tolist()]
+
+
 def s_power_sum(m: int, chi: DirichletCharacter) -> ExactSum:
     """S(m, chi) = sum_{j=1}^{k-1} chi(j) j^m, exactly."""
     return s_power_sum_range(m, chi, 1)
@@ -63,7 +71,7 @@ def s_power_sum_range(m: int, chi: DirichletCharacter, n: int) -> ExactSum:
         raise HypothesisError("n must be >= 1")
     k = chi.modulus
     kn = k * n
-    ints = [chi.int_value(j) for j in range(k)]
+    ints = _int_table(chi)
     total = 0
     for j in range(1, kn):
         c = ints[j % k]
@@ -127,6 +135,27 @@ def corollary6_check(chi: DirichletCharacter, large_m_samples=None):
     return out
 
 
+# The error of cos_power_sum, in u = 2^-53.  In a term chi(j) cos(x)^(2m), x = pi j / kn
+# is rounded three times (math.pi, product, quotient: 3u), which moves cos x by
+# 3u x |tan x| relative; math.cos adds an ulp (2u), the 2m-th power multiplies
+# both by 2m and adds an ulp.  Summed over |term|, plus math.fsum's one rounding
+# of the total (u |T|).  This is first order in u; the terms it misses lie within
+# a few u of pi/2, below (4u)^(2m), and one below the normal range is off by 2^-1074.
+_U = 2.0 ** -53
+
+
+@lru_cache(maxsize=1)  # cos_scan asks for the same (chi, n) at every m
+def _cos_table(chi: DirichletCharacter, n: int):
+    """chi(j), cos(pi j / kn) and x |tan x| at x = pi j / kn, over the j with chi(j) != 0."""
+    k = chi.modulus
+    kn = k * n
+    ints = _int_table(chi)
+    js = [j for j in range(1, kn) if ints[j % k]]
+    x = np.pi * np.array(js) / kn
+    return ([ints[j % k] for j in js], [math.cos(math.pi * j / kn) for j in js],
+            x * np.abs(np.tan(x)))
+
+
 def cos_power_sum(m: int, chi: DirichletCharacter, n: int) -> Evaluation:
     """T(m) = sum_{j=1}^{kn-1} chi(j) cos^{2m}(pi j / kn), summed by math.fsum."""
     _require_even_real_primitive(chi)
@@ -134,12 +163,11 @@ def cos_power_sum(m: int, chi: DirichletCharacter, n: int) -> Evaluation:
         raise HypothesisError("m must be nonnegative")
     if n < 1:
         raise HypothesisError("n must be >= 1")
-    k = chi.modulus
-    kn = k * n
-    ints = [chi.int_value(j) for j in range(k)]
-    total = math.fsum([ints[j % k] * math.cos(math.pi * j / kn) ** (2 * m)
-                       for j in range(1, kn) if ints[j % k]])
-    return Evaluation(complex(total), 4e-16 * kn)
+    signs, cosines, slope = _cos_table(chi, n)
+    terms = [c * x ** (2 * m) for c, x in zip(signs, cosines)]
+    total = math.fsum(terms)
+    size = float(np.abs(terms) @ (4 * m + 2 + 6 * m * slope))
+    return Evaluation(complex(total), _U * (size + abs(total)) + len(terms) * math.ulp(0.0))
 
 
 def cos_scan(chi: DirichletCharacter, n: int, m_max: int):
@@ -193,14 +221,8 @@ def binomial_expansion_check(chi: DirichletCharacter, n: int, s: float,
     if not (0.0 < s < 1.0):
         raise HypothesisError("s must lie in (0, 1)")
     kn = chi.modulus * n
-    cos2 = []
-    weights = []
-    for j in range(1, kn):
-        c = chi.int_value(j)
-        if c == 0:
-            continue
-        cos2.append(math.cos(math.pi * j / kn) ** 2)
-        weights.append(c)
+    weights, cosines, _ = _cos_table(chi, n)
+    cos2 = [c ** 2 for c in cosines]
 
     half = s / 2.0
     a = 1.0  # a_0

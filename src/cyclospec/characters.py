@@ -1,22 +1,28 @@
 """Dirichlet characters mod k: enumeration, classification, Gauss sums.
 
-Characters are stored exactly: chi(j) = exp(2*pi*i*logs[j]/exponent) with
-integer logs and a common denominator (the exponent of the unit group), so
-parity, realness and orthogonality never depend on floating-point rounding.
-Floating value tables are precomputed once per character.
+The characters mod k are one exact table.  logs is an int matrix of shape
+phi(k) x k: chi_i(j) = exp(2 pi i logs[i, j] / e) on the units j, where e
+is the exponent of (Z/kZ)*, and logs[i, j] = -1 off the units.  roots holds
+the e roots of unity exp(2 pi i a / e), exact at the quarter turns, and
+then 0, so the complex table is values = roots[logs].  Order, parity,
+realness, conductor and conjugates are integer operations on logs, so they
+never depend on floating-point rounding.
+
+Each DirichletCharacter holds its rows of logs and values as read-only
+views.  Arrays have no truth value, so == between characters is identity.
+The table has phi(k) k entries, capped at 2^22 (every k <= 2048 passes);
+a larger modulus is refused with RangeError before anything is built.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
-from .errors import HypothesisError
+from .errors import HypothesisError, RangeError
 
 __all__ = [
     "DirichletCharacter",
@@ -24,6 +30,11 @@ __all__ = [
     "conductor",
     "gauss_sum",
 ]
+
+# most entries phi(k) k of one character table, a memory and time bound:
+# characters --modulus 2039, the largest prime under it, takes about 1 s and
+# peaks at about 310 MB RSS (370 MB as json), most of it the formatted rows
+_MAX_TABLE = 1 << 22
 
 
 def _factorize(n: int):
@@ -39,6 +50,13 @@ def _factorize(n: int):
         d += 1
     if n > 1:
         out.append((n, 1))
+    return out
+
+
+def _totient(n: int) -> int:
+    out = n
+    for p, _ in _factorize(n):
+        out -= out // p
     return out
 
 
@@ -91,148 +109,101 @@ def _unit_group_generators(k: int):
     return gens
 
 
-def _conductor_of(k: int, logs) -> int:
-    # chi is induced mod f  iff  chi(a) = 1 for every unit a = 1 (mod f)
-    for f in _divisors(k):
-        ok = True
-        for a in range(1, k + 1, f):
-            if gcd(a, k) != 1:
-                continue
-            if logs[a % k] != 0:
-                ok = False
-                break
-        if ok:
-            return f
-    return k
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirichletCharacter:
-    """A fully tabulated Dirichlet character mod k."""
+    """One character mod k: row `index` of its modulus's table."""
 
     modulus: int
-    exponent: int  # common denominator of the stored angle numerators
-    logs: tuple  # logs[j] in [0, exponent) for units, None otherwise
+    exponent: int  # e, the common denominator of the logs
+    logs: np.ndarray  # read-only int row: logs[j] in [0, e) on units, -1 elsewhere
     index: int
-    values: tuple = field(repr=False)
+    values: np.ndarray = field(repr=False)  # read-only complex row, roots[logs]
+    roots: np.ndarray = field(repr=False)  # exp(2 pi i a / e) for a = 0..e-1, then 0
     order: int
     is_even: bool
     is_real: bool
     is_principal: bool
     conductor: int
     is_primitive: bool
+    conjugate_index: int
 
     def __call__(self, j: int) -> complex:
-        return self.values[j % self.modulus]
+        return complex(self.values[j % self.modulus])
 
     def int_value(self, j: int) -> int:
         """chi(j) as an exact integer in {-1, 0, 1}; real characters only."""
         if not self.is_real:
             raise HypothesisError(f"character ({self.modulus},{self.index}) is not real")
         a = self.logs[j % self.modulus]
-        if a is None:
-            return 0
-        return 1 if a == 0 else -1
+        return 0 if a < 0 else 1 if a == 0 else -1
 
     def conjugate(self) -> "DirichletCharacter":
         """The conjugate character; an involution, identity on real chi."""
-        if self.is_real:
-            return self
-        target = tuple(None if a is None else (-a) % self.exponent for a in self.logs)
-        for chi in enumerate_characters(self.modulus):
-            if chi.logs == target:
-                return chi
-        raise RuntimeError("conjugate character not found")  # pragma: no cover
+        return enumerate_characters(self.modulus)[self.conjugate_index]
 
 
-def _build_character(k: int, e: int, logs, index: int) -> DirichletCharacter:
-    unit_logs = [a for a in logs if a is not None]
-    g = e
-    for a in unit_logs:
-        g = gcd(g, a)
-    order = e // g if g else 1
+def _roots(e: int) -> np.ndarray:
+    """exp(2 pi i a / e) for a = 0..e-1, exact at the quarter turns, then 0.
+
+    Not _roots_of_unity(e): np.exp differs from math.cos/sin in the last bits,
+    and the printed character values keep theirs.
+    """
     tau = 2.0 * math.pi / e
-    quarter = {0: 1.0 + 0.0j, 1: 1.0j, 2: -1.0 + 0.0j, 3: -1.0j}
-
-    def _value(a):
-        if a is None:
-            return 0.0 + 0.0j
-        if (4 * a) % e == 0:
-            return quarter[4 * a // e]
-        return complex(math.cos(tau * a), math.sin(tau * a))
-
-    values = tuple(_value(a) for a in logs)
-    cond = _conductor_of(k, logs)
-    return DirichletCharacter(
-        modulus=k,
-        exponent=e,
-        logs=tuple(logs),
-        index=index,
-        values=values,
-        order=order,
-        is_even=(logs[(k - 1) % k] == 0),
-        is_real=all((2 * a) % e == 0 for a in unit_logs),
-        is_principal=all(a == 0 for a in unit_logs),
-        conductor=cond,
-        is_primitive=(cond == k),
-    )
+    quarter = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+    return np.array([quarter[4 * a // e] if (4 * a) % e == 0
+                     else complex(math.cos(tau * a), math.sin(tau * a))
+                     for a in range(e)] + [0.0j])
 
 
 @lru_cache(maxsize=None)
 def enumerate_characters(k: int):
     """All phi(k) characters mod k in a deterministic order.
 
-    Sorted lexicographically by the exact value table (angle numerators over
-    the common denominator), so the principal character is index 0.
+    Sorted lexicographically by the logs on the units, so the principal
+    character is index 0.
     """
     if k < 1:
         raise HypothesisError("modulus must be a positive integer")
-    if k == 1:
-        return (_build_character(1, 1, [0], 0),)
-
+    # phi(k) k >= k, so a modulus past the cap is refused before it is factorised
+    if k > _MAX_TABLE or _totient(k) * k > _MAX_TABLE:
+        raise RangeError(f"the character table mod {k} has phi(k) k > {_MAX_TABLE} entries")
     gens = _unit_group_generators(k)
-    orders = [o for _, o in gens]
-    units = [j for j in range(k) if gcd(j, k) == 1]
-    phi = len(units)
-
-    if not gens:  # k = 2
-        return (_build_character(2, 1, [None, 0], 0),)
-
-    e = math.lcm(*orders)
-    weights = [e // o for o in orders]
-
-    # discrete logs: walk the product of cyclic factors once
-    exps_of = {}
-    pow_tables = []
+    orders = np.array([o for _, o in gens], dtype=np.int64)
+    e = math.lcm(*orders.tolist())
+    phi = math.prod(orders.tolist())
+    # row p of x holds the exponents of unit p = prod g_i^x[p, i] in product
+    # order, and character p maps g_i to exp(2 pi i x[p, i] / o_i)
+    x = np.indices(orders, dtype=np.int64).reshape(len(gens), phi).T
+    units = np.ones(1, dtype=np.int64) % k
     for g, o in gens:
-        tab = [1] * o
-        for i in range(1, o):
-            tab[i] = (tab[i - 1] * g) % k
-        pow_tables.append(tab)
-    for exps in itertools.product(*[range(o) for o in orders]):
-        v = 1
-        for tab, x in zip(pow_tables, exps):
-            v = (v * tab[x]) % k
-        exps_of[v] = exps
-    assert len(exps_of) == phi
+        powers = np.array([pow(g, i, k) for i in range(o)], dtype=np.int64)
+        units = (units[:, None] * powers % k).ravel()
+    logs = np.full((phi, k), -1, dtype=np.int64)
+    logs[:, units] = (x * (e // orders)) @ x.T % e
+    perm = np.lexsort(logs.T[::-1])
+    logs = logs[perm]
+    # the conjugate of character p has exponents -x[p] mod o, in product order
+    strides = np.cumprod(orders[::-1])[::-1] // orders
+    rank = np.empty(phi, dtype=np.int64)
+    rank[perm] = np.arange(phi)
+    conj = rank[(-x[perm] % orders) @ strides]
 
-    unit_index = {j: i for i, j in enumerate(units)}
-    x_mat = np.array([exps_of[j] for j in units], dtype=np.int64)
-    w_vec = np.array(weights, dtype=np.int64)
-
-    tables = []
-    for coeffs in itertools.product(*[range(o) for o in orders]):
-        a = (x_mat @ (np.array(coeffs, dtype=np.int64) * w_vec)) % e
-        tables.append(tuple(int(v) for v in a))
-    tables.sort()
-
-    out = []
-    for idx, table in enumerate(tables):
-        logs = [None] * k
-        for j, a in zip(units, table):
-            logs[j] = a
-        out.append(_build_character(k, e, logs, idx))
-    return tuple(out)
+    order = e // np.gcd.reduce(logs, axis=1, initial=e, where=logs > 0)
+    cond = np.full(phi, k)
+    for f in _divisors(k)[-2::-1]:
+        # chi is induced mod f iff chi(a) = 1 for every unit a = 1 (mod f)
+        cond[(logs[:, 1 % f::f] <= 0).all(axis=1)] = f
+    roots = _roots(e)
+    values = roots[logs]
+    for a in (logs, values, roots):
+        a.flags.writeable = False
+    return tuple(
+        DirichletCharacter(
+            modulus=k, exponent=e, logs=logs[i], index=i, values=values[i], roots=roots,
+            order=o, is_even=even, is_real=o <= 2, is_principal=o == 1,
+            conductor=c, is_primitive=c == k, conjugate_index=cj)
+        for i, (o, even, c, cj) in enumerate(zip(
+            order.tolist(), (logs[:, (k - 1) % k] == 0).tolist(), cond.tolist(), conj.tolist())))
 
 
 def conductor(chi: DirichletCharacter) -> int:
@@ -247,5 +218,4 @@ def _roots_of_unity(k: int):
 
 def gauss_sum(chi: DirichletCharacter) -> complex:
     """G(chi) = sum over l mod k of chi(l) e^{2 pi i l / k}."""
-    k = chi.modulus
-    return complex(np.dot(np.asarray(chi.values), _roots_of_unity(k)))
+    return complex(np.dot(chi.values, _roots_of_unity(chi.modulus)))

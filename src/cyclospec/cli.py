@@ -159,8 +159,14 @@ def cmd_characters(args):
     known = {"primitive", "even", "real", "nonprincipal"}
     if not wanted <= known:
         raise UsageError(f"unknown filter(s): {sorted(wanted - known)}")
+    chars = ch.enumerate_characters(args.modulus)
+    json_out = args.format == "json"
+    # one cell per distinct value, indexed by its exact log (the last, -1, is 0)
+    cell = '{{"re": {}, "im": {}}}' if json_out else "{} {}"
+    cells = [cell.format(_fmt_float(v.real), _fmt_float(v.imag))
+             for v in chars[0].roots.tolist()]
     rows = []
-    for chi in ch.enumerate_characters(args.modulus):
+    for chi in chars:
         if "primitive" in wanted and not chi.is_primitive:
             continue
         if "even" in wanted and not chi.is_even:
@@ -170,13 +176,8 @@ def cmd_characters(args):
         if "nonprincipal" in wanted and chi.is_principal:
             continue
         g = ch.gauss_sum(chi)
-        if args.format == "json":
-            values = RawJSON("[" + ", ".join(
-                f'{{"re": {_fmt_float(v.real)}, "im": {_fmt_float(v.imag)}}}'
-                for v in chi.values) + "]")
-        else:
-            values = RawJSON(";".join(
-                f"{_fmt_float(v.real)} {_fmt_float(v.imag)}" for v in chi.values))
+        text = (", " if json_out else ";").join([cells[a] for a in chi.logs.tolist()])
+        values = RawJSON(f"[{text}]" if json_out else text)
         rows.append({
             "modulus": chi.modulus, "index": chi.index, "values": values,
             "order": chi.order, "is_even": chi.is_even, "is_real": chi.is_real,

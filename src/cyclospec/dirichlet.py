@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -56,10 +55,10 @@ def l_function(s: complex, chi: DirichletCharacter, *, n_terms=None, pairs=None)
     _require_nonprincipal(chi)
     s = complex(s)
     k = chi.modulus
-    residues = [m for m in range(1, k) if gcd(m, k) == 1]
-    h, h_err = hurwitz_zeta_em(s, np.array(residues) / k, n_terms=n_terms, pairs=pairs,
+    residues = np.flatnonzero(chi.logs >= 0)  # the units mod k, as k >= 3
+    h, h_err = hurwitz_zeta_em(s, residues / k, n_terms=n_terms, pairs=pairs,
                                subtract_pole=True)
-    total = np.dot(np.array([chi.values[m] for m in residues]), h)
+    total = np.dot(chi.values[residues], h)
     with np.errstate(all="ignore"):
         scale = np.exp(-s * math.log(k))
         value = complex(scale * total)

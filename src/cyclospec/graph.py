@@ -79,7 +79,7 @@ def graph_l_n(p: GraphLParams) -> Evaluation:
     k = p.chi.modulus
     m = k * p.n
     j = np.arange(1, m // 2 + 1)
-    values = np.asarray(p.chi.values)
+    values = p.chi.values
     weights = values[j % k] + values[-j % k]
     if m % 2 == 0:
         weights[-1] = values[(m // 2) % k]
@@ -272,7 +272,7 @@ def graph_l_general(spectrum: LaplacianSpectrum, chi: DirichletCharacter,
     else:
         raise HypothesisError(f"unknown ordering {ordering!r}")
     j = np.arange(1, lams.size + 1)
-    weights = np.asarray(chi.values)[j % chi.modulus]
+    weights = chi.values[j % chi.modulus]
     total, err = _power_sum(np.log(lams), s, weights, _EIGEN_ERR, "L_G({s!r}, chi)")
     return Evaluation(complex(total), float(err))
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from cyclospec import (
@@ -141,6 +142,23 @@ def test_cos_term_bound():
         for n in (1, 3):
             v = cos_power_sum(m, CHI5, n).value.real
             assert abs(v) <= 5 * n
+
+
+def test_cos_power_sum_error_bounds_mpmath():
+    # T(m) for m = 1..400 against 50-digit sums, with chi written out by hand:
+    # (5/j) by j mod 5, and the Legendre symbol (j/13) from the squares mod 13
+    squares13 = {j * j % 13 for j in range(1, 13)}
+    cases = ((CHI5, 20, lambda j: (0, 1, -1, -1, 1)[j % 5]),
+             (quad_char(13), 5, lambda j: 0 if j % 13 == 0 else 1 if j % 13 in squares13 else -1))
+    with mpmath.workdps(50):
+        for chi, n, exact_chi in cases:
+            kn = chi.modulus * n
+            cosines = [(exact_chi(j), mpmath.cos(mpmath.pi * j / kn)) for j in range(1, kn)]
+            for m in range(1, 401):
+                exact = mpmath.fsum(c * x ** (2 * m) for c, x in cosines if c)
+                ev = cos_power_sum(m, chi, n)
+                err = abs(mpmath.mpf(ev.value.real) - exact)
+                assert err <= ev.abs_error_estimate <= 1e-12, (chi.modulus, n, m)
 
 
 def test_cos_scan_shape_and_report():

@@ -1,11 +1,18 @@
 import math
 import random
+import sys
 from math import gcd
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cyclospec import conductor, enumerate_characters, gauss_sum
 from cyclospec.errors import HypothesisError
+
+# the benchmark's own character tables, built from the prime-power structure
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import chartab  # noqa: E402
 
 
 def brute_force_characters_mod5():
@@ -188,5 +195,33 @@ def test_int_value_requires_real():
 def test_deterministic_enumeration_order():
     a = enumerate_characters(12)
     b = enumerate_characters(12)
-    assert [c.logs for c in a] == [c.logs for c in b]
+    assert [c.logs.tolist() for c in a] == [c.logs.tolist() for c in b]
     assert a[0].is_principal
+
+
+def test_table_matches_chartab_oracle():
+    for k in range(1, 301):
+        chars = enumerate_characters(k)
+        tab = chartab.character_table(k)
+        assert len(chars) == len(tab["values"]), k
+        values = np.array([c.values for c in chars])
+        assert np.abs(values - tab["values"]).max() <= 1e-14, k  # also the row order
+        assert [c.order for c in chars] == tab["order"].tolist(), k
+        assert [c.is_even for c in chars] == tab["even"].tolist(), k
+        assert [c.is_real for c in chars] == tab["real"].tolist(), k
+        assert [c.conductor for c in chars] == tab["conductor"].tolist(), k
+        assert [c.is_primitive for c in chars] == (tab["conductor"] == k).tolist(), k
+        for chi in chars:
+            conj = chi.conjugate()
+            assert conj.conjugate() is chi
+            assert np.abs(conj.values - np.conj(tab["values"][chi.index])).max() <= 1e-14, k
+
+
+def test_table_rows_are_read_only():
+    for chi in enumerate_characters(12):
+        for row in (chi.logs, chi.values, chi.roots):
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[1] = row[0]
+    chi = enumerate_characters(5)[1]
+    assert chi == chi and chi != chi.conjugate()  # == is identity

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclospec
+from cyclospec import characters as ch
 from cyclospec.cli import DISPATCH, OPERATION_SUBCOMMANDS, emit, run
 
 
@@ -99,6 +100,54 @@ def test_characters_filter_primitive_even_real(capsys):
     assert row["modulus"] == 5
     assert len(row["values"]) == 5
     assert abs(row["values"][2]["re"] + 1.0) < 1e-12
+
+
+# the five values of the characters mod 5, as printed: -1j is stored as
+# complex(-0.0, -1.0), so chi(3) = -i prints its real part as -0
+_CELLS = {"0": ("0.0000000000000000e0", "0.0000000000000000e0"),
+          "1": ("1.0000000000000000e0", "0.0000000000000000e0"),
+          "-1": ("-1.0000000000000000e0", "0.0000000000000000e0"),
+          "i": ("0.0000000000000000e0", "1.0000000000000000e0"),
+          "-i": ("-0.0000000000000000e0", "-1.0000000000000000e0")}
+_MOD5 = [  # chi(0..4); order, is_even, is_real, conductor, is_primitive, gauss_re, gauss_im
+    ("0 1 1 1 1", "1,true,true,1,false,-1.0000000000000002e0,1.1102230246251565e-16"),
+    ("0 1 i -i -1", "4,false,false,5,true,-1.1755705045849461e0,1.9021130325903075e0"),
+    ("0 1 -1 -1 1", "2,true,true,5,true,2.2360679774997898e0,-3.3306690738754696e-16"),
+    ("0 1 -i i -1", "4,false,false,5,true,1.1755705045849465e0,1.9021130325903071e0"),
+]
+
+
+def test_characters_mod5_bytes(capsys):
+    header = "modulus,index,values,order,is_even,is_real,conductor,is_primitive,gauss_re,gauss_im"
+    csv, json_lines = [header], []
+    for index, (values, tail) in enumerate(_MOD5):
+        cells = [_CELLS[v] for v in values.split()]
+        csv.append(f'5,{index},"{";".join(f"{re} {im}" for re, im in cells)}",{tail}')
+        pairs = ", ".join(f'{{"re": {re}, "im": {im}}}' for re, im in cells)
+        rest = ", ".join(f'"{key}": {v}' for key, v in zip(header.split(",")[3:], tail.split(",")))
+        json_lines.append(f'{{"modulus": 5, "index": {index}, "values": [{pairs}], {rest}}}')
+    for fmt, want in (("csv", csv), ("json", json_lines)):
+        code, out, err = run_capture(["characters", "--modulus", "5", "--format", fmt], capsys)
+        assert (code, err) == (0, "")
+        assert out == "\n".join(want) + "\n"
+
+
+def test_character_table_cap_refuses_before_building(monkeypatch, capsys):
+    # phi(k) k is capped at 2^22: 2053 (phi k = 4,212,756) is refused before its
+    # table is built, and a modulus above 2^22 before it is even factorised
+    def never(*args):
+        raise AssertionError("the character table was built")
+
+    monkeypatch.setattr(ch, "_unit_group_generators", never)
+    for argv in (["characters", "--modulus", "2053"],
+                 ["l", "eval", "--modulus", "4194305", "--char-index", "1", "--s", "0.5,1"]):
+        if "4194305" in argv:
+            monkeypatch.setattr(ch, "_factorize", never)
+        code, out, err = run_capture(argv, capsys)
+        assert (code, out) == (2, "")
+        k = argv[argv.index("--modulus") + 1]
+        assert err == f"cyclospec: RangeError: the character table mod {k} has " \
+                      f"phi(k) k > 4194304 entries\n"
 
 
 def test_characters_counts(capsys):
